@@ -17,7 +17,7 @@ from collections import Counter
 
 from .abelian import abelian_factorization
 from .core import check_group, cyclic_group, symmetric_group
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, UsageError
 from .fileformat import (
     format_element,
     load_group,
@@ -50,15 +50,15 @@ builders: zn <n> | s <n> | dp <builder>...
 
 def _parse_one_builder(tokens, k):
     if k >= len(tokens):
-        raise DomainError("missing builder")
+        raise UsageError("missing builder")
     t = tokens[k]
     if t == "zn":
         if k + 1 >= len(tokens) or not tokens[k + 1].isdigit():
-            raise DomainError("zn needs a numeric order")
+            raise UsageError("zn needs a numeric order")
         return cyclic_group(int(tokens[k + 1])), k + 2
     if t == "s":
         if k + 1 >= len(tokens) or not tokens[k + 1].isdigit():
-            raise DomainError("s needs a numeric degree")
+            raise UsageError("s needs a numeric degree")
         return symmetric_group(int(tokens[k + 1])), k + 2
     if t == "dp":
         subs = []
@@ -67,15 +67,15 @@ def _parse_one_builder(tokens, k):
             g, k = _parse_one_builder(tokens, k)
             subs.append(g)
         if not subs:
-            raise DomainError("dp needs at least one factor")
+            raise UsageError("dp needs at least one factor")
         return direct_product(subs), k
-    raise DomainError(f"unknown builder {t!r}")
+    raise UsageError(f"unknown builder {t!r}")
 
 
 def build_group(tokens):
     g, k = _parse_one_builder(list(tokens), 0)
     if k != len(tokens):
-        raise DomainError(f"trailing builder tokens: {tokens[k:]}")
+        raise UsageError(f"trailing builder tokens: {tokens[k:]}")
     return g
 
 
@@ -90,7 +90,7 @@ def build_factor_list(tokens):
             g, k = _parse_one_builder(tokens, k)
             subs.append(g)
         if not subs:
-            raise DomainError("dp needs at least one factor")
+            raise UsageError("dp needs at least one factor")
         return subs
     return [build_group(tokens)]
 
@@ -183,14 +183,16 @@ def cmd_unique(args, out):
         return 2
     split = args.index("--")
     left, right = args[:split], args[split + 1 :]
-    mapfile = None
-    if right and os.path.exists(right[-1]) and right[-1] not in ("zn", "s", "dp"):
-        mapfile = right[-1]
-        right = right[:-1]
     if not left or not right:
         return 2
     l = build_factor_list(left)
-    m = build_factor_list(right)
+    # The last token is the map file iff the list is complete without it.
+    # No complete builder list stays complete with one more token, so at
+    # most one of the two parses succeeds.
+    try:
+        m, mapfile = build_factor_list(right[:-1]), right[-1]
+    except UsageError:
+        m, mapfile = build_factor_list(right), None
     if mapfile is not None:
         with open(mapfile) as f:
             iso = parse_map(f.read())
@@ -238,6 +240,9 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        status = 2
     except (DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

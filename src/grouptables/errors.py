@@ -4,3 +4,7 @@ class DomainError(ValueError):
 
 class ResourceError(ValueError):
     """A construction would exceed a hard size guard."""
+
+
+class UsageError(ValueError):
+    """A command line that does not follow the CLI grammar."""

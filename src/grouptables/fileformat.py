@@ -9,8 +9,8 @@ Map file: one `x -> y` line per pair, with the same label syntax.
 """
 from __future__ import annotations
 
-from .core import validate_group
-from .errors import DomainError
+from .core import MAX_ORDER, validate_group
+from .errors import DomainError, ResourceError
 from .gmaps import GroupMap
 
 
@@ -99,6 +99,8 @@ def parse_group(text):
     if len(head) != 2 or head[0] != "group" or not head[1].isdigit():
         raise DomainError(f"bad header line: {lines[0]!r}")
     n = int(head[1])
+    if n > MAX_ORDER:
+        raise ResourceError(f"group file order {n} exceeds the {MAX_ORDER} guard")
     if len(lines) != n + 2:
         raise DomainError(f"expected {n + 2} lines, got {len(lines)}")
     roster = parse_elements(lines[1])

@@ -36,11 +36,8 @@ def p_groupp(g, p):
 
 
 def max_ord(g):
-    """Largest element order in g, found by scanning n = |g| downward."""
-    for n in range(g.order, 1, -1):
-        if elt_of_ord(n, g) is not None:
-            return n
-    return 1
+    """Largest element order in g."""
+    return max(g.element_order(x) for x in g.roster)
 
 
 def cyclicp(g):
@@ -72,10 +69,6 @@ def _phyp_failure(a, p, g):
     if g.element_order(a) != max_ord(g):
         return "a does not have maximal order"
     return None
-
-
-def phyp(a, p, g):
-    return _phyp_failure(a, p, g) is None
 
 
 @dataclass(frozen=True)

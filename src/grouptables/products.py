@@ -118,18 +118,22 @@ def product_group_list(l, g):
 
 
 def internal_direct_product_p(l, g):
-    """Each member normal in g and intersecting the product of the rest trivially."""
+    """Each member normal in g and intersecting the product of the rest trivially.
+
+    Scans right to left, carrying the product of the members already
+    scanned: the subgroup each earlier member must meet trivially.
+    """
     l = list(l)
-    if not l:
-        return True
-    if not internal_direct_product_p(l[1:], g):
-        return False
-    if not subgroupp(l[0], g) or not normalp(l[0], g):
-        return False
-    rest = product_group_list(l[1:], g)
-    return (
-        group_intersection(l[0], rest, g).roster == (g.identity,)
-    )
+    rest = trivial_subgroup(g)
+    for i in range(len(l) - 1, -1, -1):
+        h = l[i]
+        if not subgroupp(h, g) or not normalp(h, g):
+            return False
+        if group_intersection(h, rest, g).roster != (g.identity,):
+            return False
+        if i:  # l[0] is scanned last; nothing reads its product
+            rest = product_group(h, rest, g)
+    return True
 
 
 def internal_direct_product_append(l, m, g):

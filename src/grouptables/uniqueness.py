@@ -7,13 +7,15 @@ on the contracted lists forces the order multisets to agree.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 from .core import abelianp, ord_insert, subgroup
 from .errors import DomainError
 from .gmaps import (
+    GroupMap,
     classify,
     compose_maps,
     homomorphism_check,
-    inv_isomorphism,
     map_from_function,
 )
 from .numtheory import divides, least_prime_divisor, primep
@@ -30,21 +32,16 @@ def hits(x, l):
 
 
 def permutationp(l, m):
-    """True iff m is a rearrangement of l (remove-one recursion)."""
-    l, m = list(l), list(m)
-    if not l:
-        return not m
-    if l[0] not in m:
-        return False
-    rest = list(m)
-    rest.remove(l[0])
-    return permutationp(l[1:], rest)
+    """True iff m is a rearrangement of l."""
+    return Counter(l) == Counter(m)
 
 
 def hits_diff(l, m):
     """First value (scanning l then m) whose occurrence counts differ, or None."""
-    for x in list(l) + list(m):
-        if hits(x, l) != hits(x, m):
+    l, m = list(l), list(m)
+    cl, cm = Counter(l), Counter(m)
+    for x in l + m:
+        if cl[x] != cm[x]:
             return x
     return None
 
@@ -132,17 +129,15 @@ def reduce_cyclic_iso(iso, l, m, p):
 
     Composition of: un-contracting on the l side, the restriction of iso to
     the power subgroup (legitimate because isomorphic abelian groups have
-    isomorphic n-th powers), and contracting on the m side.
+    isomorphic n-th powers), and contracting on the m side.  Un-contracting
+    swaps the pairs of the l-side contraction, whose distinct-key check
+    rejects a contraction that is not injective; the composed map itself is
+    checked in full by the next level of verify_unique_factorization.
     """
-    l, m = list(l), list(m)
-    lp = list(group_power_list(p, l))
-    mp = list(group_power_list(p, m))
-    dti_l = delete_trivial_iso(lp)
-    dti_m = delete_trivial_iso(mp)
-    expand = inv_isomorphism(
-        dti_l, direct_product(lp), direct_product(delete_trivial(lp))
-    )
-    return compose_maps(dti_m, compose_maps(iso, expand))
+    contract_l = delete_trivial_iso(group_power_list(p, l))
+    contract_m = delete_trivial_iso(group_power_list(p, m))
+    expand = GroupMap(tuple((y, x) for x, y in contract_l.pairs))
+    return compose_maps(contract_m, compose_maps(iso, expand))
 
 
 def verify_unique_factorization(l, m, iso):

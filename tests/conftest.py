@@ -1,3 +1,4 @@
+import importlib
 import sys
 from pathlib import Path
 
@@ -50,3 +51,21 @@ def dp_cyclic_corpus(max_order, min_order=2):
 def small_abelian_corpus():
     """All products of cyclic groups with order <= 16, plus Z_n up to 16."""
     return dp_cyclic_corpus(16)
+
+
+@pytest.fixture
+def hom_check_calls(monkeypatch):
+    """A list that grows by one entry per homomorphism_check call, counted
+    under every name the library binds the function to."""
+    gmaps = importlib.import_module("grouptables.gmaps")
+    check = gmaps.homomorphism_check
+    calls = []
+
+    def counted(m, g, h):
+        calls.append((g.order, h.order))
+        return check(m, g, h)
+
+    for name in ("gmaps", "abelian", "uniqueness"):
+        module = importlib.import_module("grouptables." + name)
+        monkeypatch.setattr(module, "homomorphism_check", counted)
+    return calls

@@ -110,6 +110,10 @@ class TestAbelianFactorization:
         with pytest.raises(DomainError):
             abelian_factorization(s3)
 
+    def test_isomorphism_checked_once(self, hom_check_calls):
+        abelian_factorization(dp(2, 2, 2, 2))
+        assert hom_check_calls == [(16, 16)]
+
     def test_trivial_rejected(self):
         with pytest.raises(DomainError):
             abelian_factorization(cyclic_group(1))

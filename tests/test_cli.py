@@ -1,6 +1,12 @@
 import subprocess
 import sys
 
+import pytest
+from hypothesis import given, strategies as st
+
+from grouptables.cli import build_factor_list, main
+from grouptables.errors import UsageError
+
 
 def run_cli(*args, cwd=None):
     proc = subprocess.run(
@@ -124,3 +130,67 @@ def test_selftest():
     assert code == 0
     assert "FAIL" not in out
     assert out.count("ok ") >= 5
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["factor", "zn", "x"],
+        ["factor", "s"],
+        ["factor", "frob", "3"],
+        ["info", "dp"],
+        ["cayley", "zn", "2", "3"],
+        ["unique", "zn", "2", "--", "zn"],
+    ],
+    ids=["non-numeric", "missing-degree", "unknown-builder", "empty-dp", "trailing", "short-list"],
+)
+def test_builder_syntax_is_usage_error(args, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "usage" in err
+
+
+@pytest.mark.parametrize("args", [["factor", "zn", "0"], ["factor", "zn", "257"], ["info", "s", "6"]])
+def test_builder_domain_is_checked_failure(args, capsys):
+    assert main(args) == 1
+    assert "usage" not in capsys.readouterr().err
+
+
+def test_unique_ignores_same_named_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "2").write_text("0 -> 0\n")
+    assert main(["unique", "zn", "2", "--", "zn", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "permutation: true"
+
+
+def test_unique_numeric_map_file_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # unique maps act on the product's 1-tuples
+    (tmp_path / "4").write_text("".join(f"({x}) -> ({(3 * x) % 4})\n" for x in range(4)))
+    assert main(["unique", "zn", "4", "--", "zn", "4", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "permutation: true"
+
+
+def test_oversized_group_file(capsys, tmp_path):
+    f = tmp_path / "big.grp"
+    f.write_text("group 257\n")
+    assert main(["validate", str(f)]) == 1
+    assert capsys.readouterr().err == "error: group file order 257 exceeds the 256 guard\n"
+
+
+def _is_builder_list(tokens):
+    try:
+        build_factor_list(tokens)
+    except UsageError:
+        return False
+    return True
+
+
+@given(
+    st.lists(st.sampled_from(["zn", "s", "dp", "1", "2"]), max_size=8),
+    st.sampled_from(["zn", "s", "dp", "1", "2", "m.map"]),
+)
+def test_complete_builder_list_takes_no_extra_token(tokens, extra):
+    # unique relies on this to tell a trailing map file from a builder token
+    assert not (_is_builder_list(tokens) and _is_builder_list(tokens + [extra]))

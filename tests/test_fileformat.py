@@ -1,7 +1,7 @@
 import pytest
 
 from grouptables.core import cyclic, cyclic_group, quotient, symmetric_group
-from grouptables.errors import DomainError
+from grouptables.errors import DomainError, ResourceError
 from grouptables.fileformat import (
     format_element,
     load_group,
@@ -66,6 +66,13 @@ class TestGroupFiles:
     def test_wrong_line_count(self):
         with pytest.raises(DomainError):
             parse_group("group 2\n0 1\n0 1\n")
+
+    def test_order_guard_before_rows(self):
+        # the rows are not there; the header alone is rejected
+        with pytest.raises(ResourceError, match="257"):
+            parse_group("group 257\n")
+        with pytest.raises(DomainError):
+            parse_group("group 256\n")
 
 
 class TestMapFiles:

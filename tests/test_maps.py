@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from grouptables.abelian import cyclic_subgroup_list
 from grouptables.core import cyclic_group, subgroup
 from grouptables.errors import DomainError
 from grouptables.gmaps import (
@@ -15,6 +18,7 @@ from grouptables.gmaps import (
     mapply,
 )
 from grouptables.core import ordp
+from grouptables.products import direct_product, product_list_map
 
 from oracles import brute_force_isomorphism
 
@@ -149,6 +153,37 @@ class TestClassify:
         m = map_from_function(h.roster, lambda x: x)
         v = classify(m, h, z4)
         assert v.monomorphism and not v.epimorphism
+
+    @staticmethod
+    def assert_matches_definition(m, g, h):
+        """classify agrees with image = h and kernel = {e} on a verified map."""
+        assert homomorphism_check(m, g, h) is None
+        v = classify(m, g, h)
+        assert v.epimorphism == (image(m, g, h).roster == h.roster)
+        assert v.monomorphism == (kernel(m, g, h).roster == (g.identity,))
+        return v
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_multiplication_maps(self, n):
+        # x -> kx on Z_n is bijective exactly when gcd(k, n) = 1
+        g = cyclic_group(n)
+        for k in range(n):
+            m = map_from_function(g.roster, lambda x: (k * x) % n)
+            v = self.assert_matches_definition(m, g, g)
+            assert v.epimorphism == v.monomorphism == (math.gcd(k, n) == 1)
+
+    @pytest.mark.parametrize("ns", [(2, 2, 2), (4, 2), (12,), (2, 6), (3, 9), (2, 2, 3, 5)])
+    def test_product_list_maps(self, ns):
+        g = direct_product([cyclic_group(n) for n in ns])
+        factors = list(cyclic_subgroup_list(g))
+        dp = direct_product(factors)
+        v = self.assert_matches_definition(product_list_map(factors, g), dp, g)
+        assert v.isomorphism
+        # the projection onto the first factor is onto but not one-to-one
+        # unless there is only one factor
+        first = map_from_function(dp.roster, lambda x: x[0])
+        v = self.assert_matches_definition(first, dp, factors[0])
+        assert v.epimorphism and v.monomorphism == (len(factors) == 1)
 
 
 class TestInverse:

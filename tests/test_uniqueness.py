@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -201,3 +203,19 @@ class TestVerifyUniqueFactorization:
         l = zs(6)
         with pytest.raises(DomainError):
             verify_unique_factorization(l, l, identity_map(group_tuples(l)))
+
+    def test_one_hom_check_per_level(self, monkeypatch, hom_check_calls):
+        uniqueness = importlib.import_module("grouptables.uniqueness")
+        levels = []
+
+        def counted(l, m, iso):
+            levels.append(orders(l))
+            return verify_unique_factorization(l, m, iso)
+
+        monkeypatch.setattr(uniqueness, "verify_unique_factorization", counted)
+        l, m = zs(2, 4, 3), zs(3, 4, 2)
+        reverse = map_from_function(group_tuples(l), lambda x: x[::-1])
+        assert counted(l, m, reverse)
+        # Z2 x Z4 x Z3 -> Z2 x Z3 (p = 2) -> Z3 (p = 2) -> trivial (p = 3)
+        assert levels == [(2, 4, 3), (2, 3), (3,)]
+        assert hom_check_calls == [(24, 24), (6, 6), (3, 3)]
