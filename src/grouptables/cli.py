@@ -61,15 +61,19 @@ def _parse_one_builder(tokens, k):
             raise UsageError("s needs a numeric degree")
         return symmetric_group(int(tokens[k + 1])), k + 2
     if t == "dp":
-        subs = []
-        k += 1
-        while k < len(tokens):
-            g, k = _parse_one_builder(tokens, k)
-            subs.append(g)
-        if not subs:
-            raise UsageError("dp needs at least one factor")
-        return direct_product(subs), k
+        return direct_product(_parse_dp_factors(tokens, k + 1)), len(tokens)
     raise UsageError(f"unknown builder {t!r}")
+
+
+def _parse_dp_factors(tokens, k):
+    """The builders from tokens[k] to the end of the list: dp's factors."""
+    subs = []
+    while k < len(tokens):
+        g, k = _parse_one_builder(tokens, k)
+        subs.append(g)
+    if not subs:
+        raise UsageError("dp needs at least one factor")
+    return subs
 
 
 def build_group(tokens):
@@ -84,29 +88,26 @@ def build_factor_list(tokens):
     factors, anything else is a singleton list."""
     tokens = list(tokens)
     if tokens and tokens[0] == "dp":
-        subs = []
-        k = 1
-        while k < len(tokens):
-            g, k = _parse_one_builder(tokens, k)
-            subs.append(g)
-        if not subs:
-            raise UsageError("dp needs at least one factor")
-        return subs
+        return _parse_dp_factors(tokens, 1)
     return [build_group(tokens)]
+
+
+def _read(path):
+    """The text of a group or map file; both formats are UTF-8."""
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def _group_from_args(args):
     if len(args) == 1 and os.path.exists(args[0]):
-        with open(args[0]) as f:
-            return load_group(f.read())
+        return load_group(_read(args[0]))
     return build_group(args)
 
 
 def cmd_validate(args, out):
     if len(args) != 1:
         return 2
-    with open(args[0]) as f:
-        roster, table = parse_group(f.read())
+    roster, table = parse_group(_read(args[0]))
     violation = check_group(roster, table)
     if violation is None:
         print(f"valid group of order {len(roster)}", file=out)
@@ -160,12 +161,9 @@ def cmd_factor(args, out):
 def cmd_iso(args, out):
     if len(args) != 3:
         return 2
-    with open(args[0]) as f:
-        g = load_group(f.read())
-    with open(args[1]) as f:
-        h = load_group(f.read())
-    with open(args[2]) as f:
-        m = parse_map(f.read())
+    g = load_group(_read(args[0]))
+    h = load_group(_read(args[1]))
+    m = parse_map(_read(args[2]))
     witness = homomorphism_check(m, g, h)
     if witness is not None:
         print(f"homomorphism: false ({witness})", file=out)
@@ -194,8 +192,7 @@ def cmd_unique(args, out):
     except UsageError:
         m, mapfile = build_factor_list(right), None
     if mapfile is not None:
-        with open(mapfile) as f:
-            iso = parse_map(f.read())
+        iso = parse_map(_read(mapfile))
     elif orders(l) == orders(m):
         iso = identity_map(group_tuples(l))
     else:
@@ -237,13 +234,13 @@ def main(argv=None):
         return 2
     try:
         status = VERBS[argv[0]](argv[1:], sys.stdout)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable file, or a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = 2
-    except (DomainError, ResourceError) as exc:
+    except (DomainError, ResourceError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if status == 2:

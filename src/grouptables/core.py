@@ -1,9 +1,11 @@
 """Finite groups as explicit operation tables.
 
-A group of order n is an n x n matrix of roster indices over a duplicate-free
-element roster whose first entry is the identity.  Elements are values (atoms
-or nested tuples), never indices, at every API boundary; indices live only
-inside tables.  Tuples encode cosets (quotient elements) and direct-product
+A group of order n is a duplicate-free element roster whose first entry is
+the identity, plus a read-only n x n integer array of roster indices: the
+Cayley table.  Elements are values (atoms or nested tuples), never indices, at
+every API boundary; indices live only inside tables, and every table derived
+from others (subgroups, quotients, direct products) is an index expression on
+theirs.  Tuples encode cosets (quotient elements) and direct-product
 tuples, so quotients and products nest one structural level per application.
 """
 from __future__ import annotations
@@ -44,13 +46,19 @@ class GroupAxiomError(DomainError):
 class FiniteGroup:
     """Roster of n distinct elements plus an n x n Cayley table of indices.
 
-    Instances are immutable; equality compares roster and table exactly
-    (ordering included), which is the equality the power-of-direct-product
-    identity needs.
+    The table may be given as any nested sequence of integers; it is stored
+    once as a read-only int16 array.  Instances are immutable; equality
+    compares roster and table exactly (ordering included), which is the
+    equality the power-of-direct-product identity needs.
     """
 
     roster: tuple
-    table: tuple
+    table: np.ndarray
+
+    def __post_init__(self):
+        table = np.array(self.table, dtype=np.int16)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     @cached_property
     def _pos(self):
@@ -81,13 +89,10 @@ class FiniteGroup:
             raise DomainError(f"{x!r} is not an element of this group") from None
 
     def op(self, x, y):
-        return self.roster[self.table[self.index(x)][self.index(y)]]
+        return self.roster[self.table.item(self.index(x), self.index(y))]
 
     def inv(self, x):
-        i = self.index(x)
-        row = self.table[i]
-        j = row.index(0)
-        return self.roster[j]
+        return self.roster[int(np.argmax(self.table[self.index(x)] == 0))]
 
     def power(self, x, n):
         """x composed with itself n times; negative n goes through inv."""
@@ -119,7 +124,7 @@ class FiniteGroup:
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self.roster == other.roster and self.table == other.table
+        return self.roster == other.roster and np.array_equal(self.table, other.table)
 
     def __hash__(self):
         return hash(self.roster)
@@ -133,15 +138,10 @@ class Subgroup(FiniteGroup):
     """A group whose roster lives inside a parent group's roster.
 
     The subgroup keeps its own roster order (cyclic subgroups use their
-    natural generator order; filtered ones inherit the parent order); the
-    embedding records where each entry sits in the parent.
+    natural generator order; filtered ones inherit the parent order).
     """
 
     parent: FiniteGroup = None
-
-    @property
-    def embedding(self):
-        return tuple(self.parent.index(x) for x in self.roster)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,9 @@ def check_group(roster, table):
         return AxiomViolation("shape", (n,))
     for i, row in enumerate(table):
         for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+            # two isinstance calls: a tuple of types would slow the int case
+            if (not (isinstance(v, int) or isinstance(v, np.integer))
+                    or isinstance(v, bool) or not 0 <= v < n):
                 return AxiomViolation("closure", (roster[i], roster[j], v))
     t = np.array(table, dtype=np.intp)
     if not np.array_equal(t[0], np.arange(n)):
@@ -190,7 +192,7 @@ def validate_group(roster, table):
     violation = check_group(roster, table)
     if violation is not None:
         raise GroupAxiomError(violation)
-    return FiniteGroup(tuple(roster), tuple(tuple(row) for row in table))
+    return FiniteGroup(tuple(roster), table)
 
 
 def subgroup(g, roster):
@@ -200,23 +202,18 @@ def subgroup(g, roster):
     operation.
     """
     roster = tuple(roster)
-    pos = {x: i for i, x in enumerate(roster)}
-    if len(pos) != len(roster):
+    if len(set(roster)) != len(roster):
         raise DomainError("subgroup roster has duplicates")
     if not roster or roster[0] != g.identity:
         raise DomainError("subgroup roster must start with the parent identity")
-    for x in roster:
-        g.index(x)
-    table = []
-    for x in roster:
-        row = []
-        for y in roster:
-            z = g.op(x, y)
-            if z not in pos:
-                raise DomainError(f"roster not closed: {x!r} * {y!r} = {z!r}")
-            row.append(pos[z])
-        table.append(tuple(row))
-    return Subgroup(roster, tuple(table), g)
+    emb = [g.index(x) for x in roster]
+    local = np.full(g.order, -1)  # parent index -> subgroup index, -1 outside
+    local[emb] = np.arange(len(roster))
+    table = local[g.table[np.ix_(emb, emb)]]
+    if (table < 0).any():
+        x, y = (roster[i] for i in np.argwhere(table < 0)[0])
+        raise DomainError(f"roster not closed: {x!r} * {y!r} = {g.op(x, y)!r}")
+    return Subgroup(roster, table, g)
 
 
 def subgroupp(h, g):
@@ -227,9 +224,8 @@ def subgroupp(h, g):
         return False
     if h.identity != g.identity:
         return False
-    return all(
-        h.op(x, y) == g.op(x, y) for x in h.roster for y in h.roster
-    )
+    emb = np.array([g.index(x) for x in h.roster])
+    return np.array_equal(emb[h.table], g.table[np.ix_(emb, emb)])
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +288,7 @@ def trivial_subgroup(g):
 
 
 def abelianp(g):
-    n = g.order
-    t = g.table
-    return all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
+    return bool((g.table == g.table.T).all())
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +323,14 @@ def lcosets(h, g):
 def normalp(h, g):
     if not subgroupp(h, g):
         raise DomainError("h is not a subgroup of g")
-    hset = set(h.roster)
-    for x in g.roster:
-        xi = g.inv(x)
-        for y in h.roster:
-            if g.op(x, g.op(y, xi)) not in hset:
-                return False
-    return True
+    t = g.table
+    inv = np.argmax(t == 0, axis=1)  # inv[x] is the column of the identity in row x
+    emb = [g.index(y) for y in h.roster]
+    member = np.zeros(g.order, dtype=bool)
+    member[emb] = True
+    # conj[x, k] = x * (h_k * x^-1)
+    conj = np.take_along_axis(t, t[emb][:, inv].T, axis=1)
+    return bool(member[conj].all())
 
 
 def quotient(g, n):
@@ -343,15 +338,11 @@ def quotient(g, n):
     if not normalp(n, g):
         raise DomainError("quotient requires a normal subgroup")
     cosets = lcosets(n, g)
-    home = {}
-    for c in cosets:
-        for x in c:
-            home[x] = c
-    pos = {c: i for i, c in enumerate(cosets)}
-    table = tuple(
-        tuple(pos[home[g.op(c[0], d[0])]] for d in cosets) for c in cosets
-    )
-    return FiniteGroup(cosets, table)
+    home = np.empty(g.order, dtype=np.intp)  # parent index -> coset index
+    for k, c in enumerate(cosets):
+        home[[g.index(x) for x in c]] = k
+    reps = [g.index(c[0]) for c in cosets]
+    return FiniteGroup(cosets, home[g.table[np.ix_(reps, reps)]])
 
 
 def lift(h, n, g):

@@ -85,7 +85,7 @@ def parse_element(text):
 def print_group(g):
     lines = [f"group {g.order}"]
     lines.append(" ".join(format_element(x) for x in g.roster))
-    for row in g.table:
+    for row in g.table.tolist():
         lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
 

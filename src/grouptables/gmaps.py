@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import ord_insert, subgroup
+from .core import subgroup
 from .errors import DomainError
 
 
@@ -118,10 +118,7 @@ def _require_hom(m, g, h):
 def image(m, g, h):
     """The image subgroup of h, with its roster ordered with respect to h."""
     _require_hom(m, g, h)
-    roster = ()
-    for x in g.roster:
-        roster = ord_insert(m.apply(x), roster, h)
-    return subgroup(h, roster)
+    return subgroup(h, sorted({m.apply(x) for x in g.roster}, key=h.index))
 
 
 def kernel(m, g, h):

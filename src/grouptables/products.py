@@ -1,6 +1,8 @@
 """Direct products, products of subgroups, and internal direct products."""
 from __future__ import annotations
 
+import numpy as np
+
 from .core import (
     FiniteGroup,
     MAX_ORDER,
@@ -34,29 +36,27 @@ def group_tuples(l):
     out = [()]
     for g in l:
         out = [t + (x,) for t in out for x in g.roster]
-    # rebuild in slowest-first order: the loop above already varies the last
-    # group fastest, which is exactly the required order
     return tuple(out)
 
 
 def direct_product(l):
-    """The direct product group on group_tuples(l), componentwise operation."""
+    """The direct product group on group_tuples(l), componentwise operation.
+
+    The table is composed in mixed radix, last factor fastest as in
+    group_tuples: T[(I, i), (J, j)] = T_prev[I, J] * k + T_g[i, j], k = |g|.
+    """
     l = list(l)
     if not l:
         raise DomainError("direct product of an empty list")
     n = product_orders(l)
     if n > MAX_ORDER:
         raise ResourceError(f"direct-product order {n} exceeds the {MAX_ORDER} guard")
-    roster = group_tuples(l)
-    pos = {x: i for i, x in enumerate(roster)}
-    table = tuple(
-        tuple(
-            pos[tuple(g.op(a, b) for g, a, b in zip(l, x, y))]
-            for y in roster
-        )
-        for x in roster
-    )
-    return FiniteGroup(roster, table)
+    table = np.zeros((1, 1), dtype=np.int16)
+    for g in l:
+        m, k = len(table), g.order
+        table = table[:, None, :, None] * k + g.table[None, :, None, :]
+        table = table.reshape(m * k, m * k)
+    return FiniteGroup(group_tuples(l), table)
 
 
 def dp_index_compare(l, x, y):

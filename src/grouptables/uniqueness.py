@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .core import abelianp, ord_insert, subgroup
+from .core import abelianp, subgroup
 from .errors import DomainError
 from .gmaps import (
     GroupMap,
@@ -60,10 +60,7 @@ def group_power(n, g):
         raise DomainError("group-power needs an abelian group")
     if n < 1:
         raise DomainError("n must be >= 1")
-    roster = ()
-    for x in g.roster:
-        roster = ord_insert(g.power(x, n), roster, g)
-    return subgroup(g, roster)
+    return subgroup(g, sorted({g.power(x, n) for x in g.roster}, key=g.index))
 
 
 def reduce_order(n, p):

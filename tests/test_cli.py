@@ -179,6 +179,21 @@ def test_oversized_group_file(capsys, tmp_path):
     assert capsys.readouterr().err == "error: group file order 257 exceeds the 256 guard\n"
 
 
+@pytest.mark.parametrize("verb, nargs", [("validate", 1), ("factor", 1), ("iso", 3)])
+def test_directory_argument_is_error_line(verb, nargs, capsys, tmp_path):
+    assert main([verb] + [str(tmp_path)] * nargs) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("verb", ["validate", "factor"])
+def test_undecodable_group_file(verb, capsys, tmp_path):
+    f = tmp_path / "g.grp"
+    f.write_bytes(b"group 1\n\xff\n0\n")
+    assert main([verb, str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "usage" not in err
+
+
 def _is_builder_list(tokens):
     try:
         build_factor_list(tokens)

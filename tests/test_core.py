@@ -26,6 +26,15 @@ from grouptables.core import (
 from grouptables.errors import DomainError
 from grouptables.products import direct_product
 
+from oracles import all_subgroups
+
+
+@pytest.fixture(params=["z12", "z2xz4", "s3"])
+def group_and_subgroups(request):
+    """A small group with every one of its subgroups."""
+    g = request.getfixturevalue(request.param)
+    return g, all_subgroups(g)
+
 
 class TestValidation:
     def test_trivial_group(self):
@@ -53,6 +62,12 @@ class TestValidation:
 
     def test_closure_violation(self):
         assert check_group([0, 1], [[0, 1], [1, 7]]).kind == "closure"
+
+    def test_table_is_read_only(self, z4, s3, z2xz4):
+        for g in (z4, s3, z2xz4, subgroup(z4, (0, 2)), quotient(z4, subgroup(z4, (0, 2))),
+                  validate_group(range(2), [[0, 1], [1, 0]])):
+            with pytest.raises(ValueError):
+                g.table[0, 0] = 1
 
 
 class TestOps:
@@ -108,6 +123,44 @@ class TestCyclicSubgroups:
     def test_ord_insert(self, z4):
         assert ord_insert(2, (0, 3), z4) == (0, 2, 3)
         assert ord_insert(0, (0,), z4) == (0,)
+
+
+class TestSubgroup:
+    def test_table_is_restricted_operation(self, group_and_subgroups):
+        g, subs = group_and_subgroups
+        for h in subs:
+            # the parent order and a roster whose embedding is not monotone
+            for roster in (h.roster, h.roster[:1] + h.roster[:0:-1]):
+                k = subgroup(g, roster)
+                assert k.roster == roster
+                assert k.table.tolist() == [
+                    [roster.index(g.op(x, y)) for y in roster] for x in roster
+                ]
+
+    def test_unclosed_roster_reports_first_pair(self, group_and_subgroups):
+        g, _ = group_and_subgroups
+        for roster in (g.roster[:3], g.roster[:1] + g.roster[:1:-1], g.roster[:-1]):
+            first = next(
+                (x, y, g.op(x, y))
+                for x in roster for y in roster if g.op(x, y) not in roster
+            )
+            with pytest.raises(DomainError) as exc:
+                subgroup(g, roster)
+            assert str(exc.value) == "roster not closed: %r * %r = %r" % first
+
+    def test_subgroupp_matches_definition(self, group_and_subgroups):
+        g, subs = group_and_subgroups
+        z4 = cyclic_group(4)
+        klein = validate_group(range(4), [[i ^ j for j in range(4)] for i in range(4)])
+        pairs = [(h, k) for h in subs for k in subs + [g]]
+        pairs += [(h, z4) for h in all_subgroups(klein)] + [(klein, z4), (z4, klein)]
+        for h, k in pairs:
+            expected = (
+                all(x in k for x in h.roster)
+                and h.identity == k.identity
+                and all(h.op(x, y) == k.op(x, y) for x in h.roster for y in h.roster)
+            )
+            assert subgroupp(h, k) == expected
 
 
 @given(st.permutations([0, 1, 2, 3]))
@@ -168,6 +221,23 @@ class TestNormalQuotient:
         q = quotient(z12, n)
         assert q.order == z12.order // n.order
 
+    def test_normalp_matches_definition(self, group_and_subgroups):
+        g, subs = group_and_subgroups
+        for h in subs:
+            assert normalp(h, g) == all(
+                g.op(x, g.op(y, g.inv(x))) in h for x in g.roster for y in h.roster
+            )
+
+    def test_quotient_table_is_coset_operation(self, group_and_subgroups):
+        g, subs = group_and_subgroups
+        for n in (h for h in subs if normalp(h, g)):
+            q = quotient(g, n)
+            assert q.roster == lcosets(n, g)
+            home = {x: k for k, c in enumerate(q.roster) for x in c}
+            assert q.table.tolist() == [
+                [home[g.op(c[0], d[0])] for d in q.roster] for c in q.roster
+            ]
+
 
 class TestLift:
     def test_lift_trivial_is_n(self, z4):
@@ -210,6 +280,13 @@ class TestIntersections:
     def test_abelianp(self, z6, s3):
         assert abelianp(z6)
         assert not abelianp(s3)
+
+    def test_abelianp_matches_definition(self, group_and_subgroups):
+        g, subs = group_and_subgroups
+        for h in subs + [g]:
+            assert abelianp(h) == all(
+                h.op(x, y) == h.op(y, x) for x in h.roster for y in h.roster
+            )
 
 
 class TestBuilders:

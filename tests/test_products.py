@@ -65,6 +65,17 @@ class TestDirectProduct:
         g = direct_product([cyclic_group(2), cyclic_group(4)])
         assert check_group(g.roster, g.table) is None
 
+    def test_table_is_componentwise_op(self, small_abelian_corpus, s3):
+        lists = [[cyclic_group(k) for k in ms] for ms, _ in small_abelian_corpus]
+        for l in lists + [[s3, cyclic_group(2)], [cyclic_group(2), s3]]:
+            g = direct_product(l)
+            roster = group_tuples(l)
+            assert g.roster == roster
+            assert g.table.tolist() == [
+                [roster.index(tuple(f.op(a, b) for f, a, b in zip(l, x, y))) for y in roster]
+                for x in roster
+            ]
+
     def test_abelian_iff_all_factors(self, s3):
         assert abelianp(direct_product([cyclic_group(2), cyclic_group(3)]))
         assert not abelianp(direct_product([cyclic_group(2), s3]))
