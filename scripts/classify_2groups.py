@@ -10,9 +10,10 @@ Usage: python3 scripts/classify_2groups.py [order]
 """
 import argparse
 import sys
+from pathlib import Path
 from collections import Counter
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from grouptables.abelian import abelian_factorization
 from grouptables.core import cyclic_group

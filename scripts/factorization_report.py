@@ -11,8 +11,9 @@ Usage: python3 scripts/factorization_report.py [--max-order N]
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from grouptables.abelian import abelian_factorization
 from grouptables.core import cyclic_group

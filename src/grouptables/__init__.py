@@ -4,7 +4,6 @@ cyclic p-groups with verified uniqueness of the factor orders."""
 
 from .core import (
     FiniteGroup,
-    Subgroup,
     GroupAxiomError,
     check_group,
     cyclic,

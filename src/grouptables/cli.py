@@ -16,13 +16,14 @@ import sys
 from collections import Counter
 
 from .abelian import abelian_factorization
-from .core import check_group, cyclic_group, symmetric_group
+from .core import MAX_DEPTH, abelianp, check_group, cyclic_group, symmetric_group
 from .errors import DomainError, ResourceError, UsageError
 from .fileformat import (
     format_element,
     load_group,
     parse_group,
     parse_map,
+    parse_numerals,
     print_group,
 )
 from .gmaps import classify, homomorphism_check, identity_map
@@ -48,28 +49,31 @@ builders: zn <n> | s <n> | dp <builder>...
 """
 
 
-def _parse_one_builder(tokens, k):
+def _parse_one_builder(tokens, k, depth):
+    """The group built by tokens[k:], inside depth enclosing dp builders."""
     if k >= len(tokens):
         raise UsageError("missing builder")
     t = tokens[k]
     if t == "zn":
-        if k + 1 >= len(tokens) or not tokens[k + 1].isdigit():
+        if k + 1 >= len(tokens) or not tokens[k + 1].isdecimal():
             raise UsageError("zn needs a numeric order")
-        return cyclic_group(int(tokens[k + 1])), k + 2
+        return cyclic_group(parse_numerals([tokens[k + 1]])[0]), k + 2
     if t == "s":
-        if k + 1 >= len(tokens) or not tokens[k + 1].isdigit():
+        if k + 1 >= len(tokens) or not tokens[k + 1].isdecimal():
             raise UsageError("s needs a numeric degree")
-        return symmetric_group(int(tokens[k + 1])), k + 2
+        return symmetric_group(parse_numerals([tokens[k + 1]])[0]), k + 2
     if t == "dp":
-        return direct_product(_parse_dp_factors(tokens, k + 1)), len(tokens)
+        if depth >= MAX_DEPTH:
+            raise ResourceError(f"dp nesting exceeds the {MAX_DEPTH} guard")
+        return direct_product(_parse_dp_factors(tokens, k + 1, depth + 1)), len(tokens)
     raise UsageError(f"unknown builder {t!r}")
 
 
-def _parse_dp_factors(tokens, k):
+def _parse_dp_factors(tokens, k, depth):
     """The builders from tokens[k] to the end of the list: dp's factors."""
     subs = []
     while k < len(tokens):
-        g, k = _parse_one_builder(tokens, k)
+        g, k = _parse_one_builder(tokens, k, depth)
         subs.append(g)
     if not subs:
         raise UsageError("dp needs at least one factor")
@@ -77,7 +81,7 @@ def _parse_dp_factors(tokens, k):
 
 
 def build_group(tokens):
-    g, k = _parse_one_builder(list(tokens), 0)
+    g, k = _parse_one_builder(list(tokens), 0, 0)
     if k != len(tokens):
         raise UsageError(f"trailing builder tokens: {tokens[k:]}")
     return g
@@ -88,7 +92,7 @@ def build_factor_list(tokens):
     factors, anything else is a singleton list."""
     tokens = list(tokens)
     if tokens and tokens[0] == "dp":
-        return _parse_dp_factors(tokens, 1)
+        return _parse_dp_factors(tokens, 1, 1)
     return [build_group(tokens)]
 
 
@@ -120,8 +124,6 @@ def cmd_info(args, out):
     if not args:
         return 2
     g = _group_from_args(args)
-    from .core import abelianp
-
     hist = Counter(g.element_order(x) for x in g.roster)
     print(f"order: {g.order}", file=out)
     print(f"abelian: {str(abelianp(g)).lower()}", file=out)
@@ -144,8 +146,6 @@ def cmd_factor(args, out):
     if not args:
         return 2
     g = _group_from_args(args)
-    from .core import abelianp
-
     if not abelianp(g):
         print("error: group is not abelian", file=out)
         return 1

@@ -3,10 +3,11 @@
 A group of order n is a duplicate-free element roster whose first entry is
 the identity, plus a read-only n x n integer array of roster indices: the
 Cayley table.  Elements are values (atoms or nested tuples), never indices, at
-every API boundary; indices live only inside tables, and every table derived
-from others (subgroups, quotients, direct products) is an index expression on
-theirs.  Tuples encode cosets (quotient elements) and direct-product
-tuples, so quotients and products nest one structural level per application.
+every API boundary; indices live only inside tables.  Derived tables
+(subgroups, quotients, direct products), element orders and powers, cosets
+and products of subgroups are all computed on indices.  Tuples encode cosets
+(quotient elements) and direct-product tuples, so quotients and products
+nest one structural level per application.
 """
 from __future__ import annotations
 
@@ -18,11 +19,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 
-# Elements are ints, short symbol strings, or tuples of elements; equality is
-# structural, which Python tuples give us for free.
-Element = object
-
 MAX_ORDER = 256
+MAX_DEPTH = 32  # nesting levels of a parsed builder expression or element label
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,16 @@ class FiniteGroup:
 
     @cached_property
     def _orders(self):
-        return {}
+        """The order of every element, by roster index: all elements are
+        stepped at once, at most n steps by Lagrange."""
+        cols = np.arange(self.order)
+        acc, orders, k = cols, np.zeros(self.order, dtype=np.intp), 1
+        while not orders.all():
+            orders[(acc == 0) & (orders == 0)] = k
+            acc = self.table[acc, cols]
+            k += 1
+        orders.flags.writeable = False
+        return orders
 
     @property
     def order(self):
@@ -95,31 +102,14 @@ class FiniteGroup:
         return self.roster[int(np.argmax(self.table[self.index(x)] == 0))]
 
     def power(self, x, n):
-        """x composed with itself n times; negative n goes through inv."""
-        if n < 0:
-            return self.power(self.inv(x), -n)
-        self.index(x)
-        acc = self.identity
-        for _ in range(n):
-            acc = self.op(acc, x)
-        return acc
+        """x composed with itself n times; n is taken modulo x's order, so a
+        negative n gives a power of the inverse."""
+        cycle = powers(self, x)
+        return cycle[n % len(cycle)]
 
     def element_order(self, x):
         """Least k >= 1 with x^k = identity."""
-        cache = self._orders
-        try:
-            return cache[x]
-        except KeyError:
-            pass
-        self.index(x)
-        e = self.identity
-        acc = x
-        k = 1
-        while acc != e:
-            acc = self.op(acc, x)
-            k += 1
-        cache[x] = k
-        return k
+        return int(self._orders[self.index(x)])
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
@@ -131,17 +121,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"{type(self).__name__}(order={self.order})"
-
-
-@dataclass(frozen=True, eq=False)
-class Subgroup(FiniteGroup):
-    """A group whose roster lives inside a parent group's roster.
-
-    The subgroup keeps its own roster order (cyclic subgroups use their
-    natural generator order; filtered ones inherit the parent order).
-    """
-
-    parent: FiniteGroup = None
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +178,8 @@ def subgroup(g, roster):
     """The subgroup of g on the given roster, with the operation restricted.
 
     The roster must start with g's identity and be closed under g's
-    operation.
+    operation; the subgroup keeps its order (cyclic subgroups use their
+    natural generator order, filtered ones inherit the parent order).
     """
     roster = tuple(roster)
     if len(set(roster)) != len(roster):
@@ -213,7 +193,7 @@ def subgroup(g, roster):
     if (table < 0).any():
         x, y = (roster[i] for i in np.argwhere(table < 0)[0])
         raise DomainError(f"roster not closed: {x!r} * {y!r} = {g.op(x, y)!r}")
-    return Subgroup(roster, table, g)
+    return FiniteGroup(roster, table)
 
 
 def subgroupp(h, g):
@@ -258,14 +238,10 @@ def ord_insert(x, l, g):
 
 def powers(g, a):
     """[e, a, a^2, ...] up to (but excluding) the first repeat of e."""
-    e = g.identity
-    g.index(a)
-    out = [e]
-    acc = g.op(e, a)
-    while acc != e:
-        out.append(acc)
-        acc = g.op(acc, a)
-    return tuple(out)
+    i, out = g.index(a), [0]
+    while (j := g.table.item(out[-1], i)) != 0:
+        out.append(j)
+    return tuple(g.roster[j] for j in out)
 
 
 def cyclic(a, g):
@@ -277,10 +253,8 @@ def elt_of_ord(n, g):
     """First roster element of order exactly n, or None."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    for x in g.roster:
-        if g.element_order(x) == n:
-            return x
-    return None
+    found = np.flatnonzero(g._orders == n)
+    return g.roster[found[0]] if len(found) else None
 
 
 def trivial_subgroup(g):
@@ -295,10 +269,27 @@ def abelianp(g):
 # cosets, quotients, lifting
 
 
+def _elements(g, rows):
+    """The elements of g at each row of an index array, as tuples."""
+    return tuple(tuple(g.roster[i] for i in row) for row in rows.tolist())
+
+
+def _coset_rows(h, g):
+    """Row x holds the g-indices of the left coset x*h in ascending order.
+
+    Each row of g's table is a permutation, so x*h has exactly |h| members,
+    and row x of the membership mask lists them in ascending order.
+    """
+    n = g.order
+    member = np.zeros((n, n), dtype=bool)
+    member[np.arange(n)[:, None], g.table[:, [g.index(y) for y in h.roster]]] = True
+    return np.nonzero(member)[1].reshape(n, h.order)
+
+
 def lcoset(x, h, g):
     """The left coset x*h, ordered with respect to g."""
-    g.index(x)
-    return tuple(sorted((g.op(x, y) for y in h.roster), key=g.index))
+    row = g.table[g.index(x), [g.index(y) for y in h.roster]]
+    return tuple(g.roster[i] for i in sorted(row.tolist()))
 
 
 def lcosets(h, g):
@@ -309,15 +300,8 @@ def lcosets(h, g):
     """
     if not subgroupp(h, g):
         raise DomainError("h is not a subgroup of g")
-    seen = set()
-    out = []
-    for x in g.roster:
-        if x in seen:
-            continue
-        c = lcoset(x, h, g)
-        seen.update(c)
-        out.append(c)
-    return tuple(out)
+    rows = _coset_rows(h, g)
+    return _elements(g, rows[rows[:, 0] == np.arange(g.order)])  # first in their coset
 
 
 def normalp(h, g):
@@ -337,12 +321,11 @@ def quotient(g, n):
     """The quotient group g/n: elements are the cosets of the normal n."""
     if not normalp(n, g):
         raise DomainError("quotient requires a normal subgroup")
-    cosets = lcosets(n, g)
-    home = np.empty(g.order, dtype=np.intp)  # parent index -> coset index
-    for k, c in enumerate(cosets):
-        home[[g.index(x) for x in c]] = k
-    reps = [g.index(c[0]) for c in cosets]
-    return FiniteGroup(cosets, home[g.table[np.ix_(reps, reps)]])
+    rows = _coset_rows(n, g)
+    is_rep = rows[:, 0] == np.arange(g.order)  # x is the first of its coset
+    reps = np.flatnonzero(is_rep)
+    home = (np.cumsum(is_rep) - 1)[rows[:, 0]]  # parent index -> coset index
+    return FiniteGroup(_elements(g, rows[reps]), home[g.table[reps][:, reps]])
 
 
 def lift(h, n, g):
@@ -394,9 +377,8 @@ def cyclic_group(n):
         raise DomainError("cyclic group order must be >= 1")
     if n > MAX_ORDER:
         raise ResourceError(f"order {n} exceeds the {MAX_ORDER} guard")
-    roster = tuple(range(n))
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return FiniteGroup(roster, table)
+    ar = np.arange(n, dtype=np.int16)
+    return FiniteGroup(tuple(range(n)), (ar[:, None] + ar) % n)
 
 
 def symmetric_group(n):

@@ -9,7 +9,7 @@ Map file: one `x -> y` line per pair, with the same label syntax.
 """
 from __future__ import annotations
 
-from .core import MAX_ORDER, validate_group
+from .core import MAX_DEPTH, MAX_ORDER, validate_group
 from .errors import DomainError, ResourceError
 from .gmaps import GroupMap
 
@@ -23,6 +23,15 @@ def format_element(x):
     if not s or any(ch in s for ch in "() \t\n"):
         raise DomainError(f"unprintable symbol label: {x!r}")
     return s
+
+
+def parse_numerals(tokens):
+    """int() of each token, all checked with str.isdecimal (exactly the
+    digits int() accepts); one longer than int() converts is a ResourceError."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise ResourceError("a numeral exceeds the integer conversion limit") from None
 
 
 def _tokenize(text):
@@ -44,23 +53,26 @@ def _tokenize(text):
     return out
 
 
-def _parse_one(tokens, k):
+def _parse_one(tokens, k, depth=0):
+    """The element starting at tokens[k], inside depth open parentheses."""
     if k >= len(tokens):
         raise DomainError("unexpected end of element text")
     t = tokens[k]
     if t == "(":
+        if depth >= MAX_DEPTH:
+            raise ResourceError(f"element nesting exceeds the {MAX_DEPTH} guard")
         parts = []
         k += 1
         while k < len(tokens) and tokens[k] != ")":
-            part, k = _parse_one(tokens, k)
+            part, k = _parse_one(tokens, k, depth + 1)
             parts.append(part)
         if k >= len(tokens):
             raise DomainError("unbalanced parenthesis in element text")
         return tuple(parts), k + 1
     if t == ")":
         raise DomainError("unexpected ')' in element text")
-    if t.lstrip("-").isdigit():
-        return int(t), k + 1
+    if t.removeprefix("-").isdecimal():
+        return parse_numerals([t])[0], k + 1
     return t, k + 1
 
 
@@ -96,9 +108,9 @@ def parse_group(text):
     if not lines:
         raise DomainError("empty group file")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "group" or not head[1].isdigit():
+    if len(head) != 2 or head[0] != "group" or not head[1].isdecimal():
         raise DomainError(f"bad header line: {lines[0]!r}")
-    n = int(head[1])
+    n = parse_numerals([head[1]])[0]
     if n > MAX_ORDER:
         raise ResourceError(f"group file order {n} exceeds the {MAX_ORDER} guard")
     if len(lines) != n + 2:
@@ -109,9 +121,9 @@ def parse_group(text):
     table = []
     for ln in lines[2:]:
         row = ln.split()
-        if len(row) != n or not all(v.isdigit() for v in row):
+        if len(row) != n or not all(v.isdecimal() for v in row):
             raise DomainError(f"bad table row: {ln!r}")
-        table.append(tuple(int(v) for v in row))
+        table.append(parse_numerals(row))
     return tuple(roster), tuple(table)
 
 

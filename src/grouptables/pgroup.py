@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .core import (
     FiniteGroup,
-    Subgroup,
     abelianp,
     cyclic,
     elt_of_ord,
@@ -22,7 +21,6 @@ from .core import (
     lift,
     powers,
     quotient,
-    subgroup,
     subgroupp,
 )
 from .errors import DomainError
@@ -37,7 +35,7 @@ def p_groupp(g, p):
 
 def max_ord(g):
     """Largest element order in g."""
-    return max(g.element_order(x) for x in g.roster)
+    return int(g._orders.max())
 
 
 def cyclicp(g):
@@ -84,7 +82,7 @@ class SplitData:
     i: int
     j: int
     y: object
-    c: Subgroup
+    c: FiniteGroup
 
 
 def split_witness(a, p, g):
@@ -113,9 +111,6 @@ def complement_subgroup(a, p, g):
     Recursive: split off an order-p cyclic subgroup c; if g/c is cyclic,
     g2 = c, otherwise lift the complement found in g/c back through c.
     """
-    failure = _phyp_failure(a, p, g)
-    if failure is not None:
-        raise DomainError(f"complement preconditions unmet: {failure}")
     sd = split_witness(a, p, g)
     gstar = quotient(g, sd.c)
     if cyclicp(gstar):
@@ -163,8 +158,7 @@ def cyclic_p_subgroup_list(p, g):
     if g.order == 1:
         return PFactorization((), g)
     if cyclicp(g):
-        own = g if isinstance(g, Subgroup) else subgroup(g, g.roster)
-        return PFactorization((own,), g)
+        return PFactorization((g,), g)
     a = elt_of_ord(max_ord(g), g)
     g1 = cyclic(a, g)
     g2 = complement_subgroup(a, p, g)

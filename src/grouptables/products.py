@@ -15,7 +15,7 @@ from .core import (
     trivial_subgroup,
 )
 from .errors import DomainError, ResourceError
-from .gmaps import map_from_function
+from .gmaps import GroupMap
 
 
 def product_orders(l):
@@ -80,10 +80,11 @@ def products(h, k, g):
     """All pairwise products op(a, b) for a in h, b in k, ordered by g."""
     if not (subgroupp(h, g) and subgroupp(k, g)):
         raise DomainError("products requires subgroups of g")
-    # set-then-sort is the same value the ord_insert fold produces, without
-    # the quadratic insert cost on large subgroup pairs
-    out = {g.op(a, b) for a in h.roster for b in k.roster}
-    return tuple(sorted(out, key=g.index))
+    ih = [g.index(a) for a in h.roster]
+    ik = [g.index(b) for b in k.roster]
+    hit = np.zeros(g.order, dtype=bool)
+    hit[g.table[ih][:, ik]] = True
+    return tuple(g.roster[i] for i in np.flatnonzero(hit))
 
 
 def product_group(h, k, g):
@@ -155,22 +156,20 @@ def internal_direct_product_append(l, m, g):
     return combined
 
 
-def product_list_val(x, g):
-    """Left-to-right fold of the operation over a tuple; singletons unwrap."""
-    if len(x) == 1:
-        return x[0]
-    return g.op(x[0], product_list_val(x[1:], g))
-
-
 def product_list_map(l, g):
     """The isomorphism candidate from direct_product(l) onto g.
 
-    Requires l to be an internal direct product of g with full order; the
-    caller is expected to verify the result with classify().
+    Sends (x1, ..., xk) to x1 * (x2 * (... * xk)), folded on index arrays
+    with the first factor slowest, as in group_tuples.  Requires l to be an
+    internal direct product of g with full order; the caller is expected to
+    verify the result with classify().
     """
     l = list(l)
     if not internal_direct_product_p(l, g):
         raise DomainError("product-list-map requires an internal direct product")
     if product_orders(l) != g.order:
         raise DomainError("product of orders must equal the group order")
-    return map_from_function(group_tuples(l), lambda x: product_list_val(x, g))
+    images = np.zeros(1, dtype=np.intp)  # g's identity
+    for h in reversed(l):
+        images = g.table[[g.index(x) for x in h.roster]][:, images].ravel()
+    return GroupMap(tuple(zip(group_tuples(l), (g.roster[i] for i in images.tolist()))))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from .core import abelianp, subgroup
 from .errors import DomainError
 from .gmaps import (
@@ -60,7 +62,15 @@ def group_power(n, g):
         raise DomainError("group-power needs an abelian group")
     if n < 1:
         raise DomainError("n must be >= 1")
-    return subgroup(g, sorted({g.power(x, n) for x in g.roster}, key=g.index))
+    # x^n for every x at once, by repeated squaring on indices
+    t, acc, base = g.table, np.zeros(g.order, dtype=np.intp), np.arange(g.order)
+    while n:
+        if n & 1:
+            acc = t[acc, base]
+        base, n = t[base, base], n >> 1
+    hit = np.zeros(g.order, dtype=bool)
+    hit[acc] = True
+    return subgroup(g, tuple(g.roster[i] for i in np.flatnonzero(hit)))
 
 
 def reduce_order(n, p):

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from grouptables.core import cyclic_group, symmetric_group
 from grouptables.products import direct_product
 
-from oracles import factor_multisets
+from oracles import all_subgroups, factor_multisets
 
 
 @pytest.fixture(scope="session")
@@ -51,6 +51,13 @@ def dp_cyclic_corpus(max_order, min_order=2):
 def small_abelian_corpus():
     """All products of cyclic groups with order <= 16, plus Z_n up to 16."""
     return dp_cyclic_corpus(16)
+
+
+@pytest.fixture(scope="session")
+def corpus_with_subgroups(small_abelian_corpus):
+    """(group, every subgroup of it) for small_abelian_corpus, S3 and S4."""
+    groups = [g for _, g in small_abelian_corpus] + [symmetric_group(3), symmetric_group(4)]
+    return [(g, all_subgroups(g)) for g in groups]
 
 
 @pytest.fixture

@@ -194,6 +194,66 @@ def test_undecodable_group_file(verb, capsys, tmp_path):
     assert err.startswith("error: ") and "usage" not in err
 
 
+@pytest.mark.parametrize(
+    "args", [["factor", "zn", "²"], ["info", "s", "²"], ["cayley", "dp", "zn", "2", "zn", "-2"]]
+)
+def test_non_decimal_numeral_is_usage_error(args, capsys):
+    # str.isdigit accepts '²', which int() rejects
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "usage" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["group ²\n0\n0\n", "group 2\n0 1\n0 1\n1 ²\n"],
+    ids=["header", "row"],
+)
+def test_non_decimal_numeral_in_group_file(text, capsys, tmp_path):
+    f = tmp_path / "g.grp"
+    f.write_text(text)
+    assert main(["validate", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "usage" not in err
+
+
+def test_numeral_beyond_int_conversion_is_checked_failure(capsys, tmp_path):
+    huge = "1" * 5000
+    f = tmp_path / "g.grp"
+    for args, text in ((["factor", "zn", huge], None), (["validate", str(f)], f"group {huge}\n"),
+                       (["validate", str(f)], f"group 1\n0\n{huge}\n"),
+                       (["validate", str(f)], f"group 1\n{huge}\n0\n")):
+        if text is not None:
+            f.write_text(text)
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_symbol_labels_that_look_numeric(capsys, tmp_path):
+    g = tmp_path / "g.grp"
+    g.write_text("group 2\n0 ²\n0 1\n1 0\n")
+    m = tmp_path / "m.map"
+    m.write_text("0 -> 0\n² -> ²\n")
+    assert main(["iso", str(g), str(g), str(m)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "isomorphism: true"
+
+
+@pytest.mark.parametrize("depth, code", [(32, 0), (33, 1), (600, 1)])
+def test_builder_nesting_guard(depth, code, capsys):
+    assert main(["cayley"] + ["dp"] * depth + ["zn", "2"]) == code
+    if code:
+        assert capsys.readouterr().err == "error: dp nesting exceeds the 32 guard\n"
+
+
+def test_map_label_nesting_guard(capsys, tmp_path):
+    g = tmp_path / "g.grp"
+    g.write_text("group 1\n0\n0\n")
+    m = tmp_path / "m.map"
+    m.write_text("(" * 3000 + "0" + ")" * 3000 + " -> 0\n")
+    assert main(["iso", str(g), str(g), str(m)]) == 1
+    assert capsys.readouterr().err == "error: element nesting exceeds the 32 guard\n"
+
+
 def _is_builder_list(tokens):
     try:
         build_factor_list(tokens)

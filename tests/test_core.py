@@ -100,6 +100,26 @@ class TestOps:
         assert z6.power(2, -1) == 4
         assert z6.power(2, -2) == z6.power(4, 2)
 
+    def test_orders_match_definition(self, corpus_with_subgroups):
+        for g, _ in corpus_with_subgroups:
+            for x in g.roster:
+                acc, k = x, 1
+                while acc != g.identity:
+                    acc, k = g.op(acc, x), k + 1
+                assert g.element_order(x) == k
+
+    def test_power_matches_repeated_op(self, corpus_with_subgroups):
+        # negative exponents and exponents past the element's order
+        for g, _ in corpus_with_subgroups:
+            for x in g.roster:
+                k = g.element_order(x)
+                for n in range(-2 * k - 1, 2 * k + 2):
+                    step = x if n >= 0 else g.inv(x)
+                    expected = g.identity
+                    for _ in range(abs(n)):
+                        expected = g.op(expected, step)
+                    assert g.power(x, n) == expected
+
     def test_membership_error(self, z4):
         with pytest.raises(DomainError):
             z4.op(1, 9)
@@ -111,6 +131,16 @@ class TestCyclicSubgroups:
 
     def test_powers_identity(self, z4):
         assert powers(z4, 0) == (0,)
+
+    def test_powers_match_definition(self, corpus_with_subgroups):
+        for g, _ in corpus_with_subgroups:
+            for a in g.roster:
+                expected = [g.identity]
+                acc = g.op(g.identity, a)
+                while acc != g.identity:
+                    expected.append(acc)
+                    acc = g.op(acc, a)
+                assert powers(g, a) == tuple(expected)
 
     def test_cyclic_generator_full(self, z4):
         assert cyclic(1, z4).roster == (0, 1, 2, 3)
@@ -172,6 +202,13 @@ def test_ord_insert_fold_order_independent(perm):
     assert acc == (0, 1, 2, 3)
 
 
+def coset_definition(h, g):
+    """{x: x*h in g order}, keyed in g-roster order, and the distinct cosets
+    in order of first occurrence."""
+    cosets = {x: tuple(sorted({g.op(x, y) for y in h.roster}, key=g.index)) for x in g.roster}
+    return cosets, tuple(dict.fromkeys(cosets.values()))
+
+
 class TestCosets:
     def test_z4_lcoset(self, z4):
         h = subgroup(z4, (0, 2))
@@ -194,6 +231,15 @@ class TestCosets:
                 sorted(s3.roster, key=s3.index)
             )
             assert all(len(c) == h.order for c in cos)
+
+    def test_cosets_match_definition(self, corpus_with_subgroups):
+        # S3 and S4 bring non-normal subgroups, whose left cosets differ from
+        # their right cosets
+        for g, subs in corpus_with_subgroups:
+            for h in subs:
+                cosets, distinct = coset_definition(h, g)
+                assert all(lcoset(x, h, g) == c for x, c in cosets.items())
+                assert lcosets(h, g) == distinct
 
 
 class TestNormalQuotient:
@@ -237,6 +283,18 @@ class TestNormalQuotient:
             assert q.table.tolist() == [
                 [home[g.op(c[0], d[0])] for d in q.roster] for c in q.roster
             ]
+
+    def test_quotient_matches_definition(self, corpus_with_subgroups):
+        for g, subs in corpus_with_subgroups:
+            for n in (h for h in subs if normalp(h, g)):
+                q = quotient(g, n)
+                assert q.roster == coset_definition(n, g)[1]
+                home = {x: k for k, c in enumerate(q.roster) for x in c}
+                assert sorted(home, key=g.index) == list(g.roster)
+                # every pair of members, not only the first of each coset
+                for x in g.roster:
+                    for y in g.roster:
+                        assert q.table[home[x], home[y]] == home[g.op(x, y)]
 
 
 class TestLift:

@@ -33,6 +33,19 @@ class TestElements:
     def test_multi(self):
         assert parse_elements("0 (1 2) 3") == [0, (1, 2), 3]
 
+    def test_numeric_looking_symbols(self):
+        # one leading '-' is a sign; '²' passes str.isdigit but not int()
+        assert parse_element("-1") == -1
+        for label in ("²", "--1", "-", "-²", "1_0", "+1"):
+            assert parse_element(label) == label
+
+    def test_nesting_guard(self):
+        deepest = "(" * 32 + "0" + ")" * 32
+        assert format_element(parse_element(deepest)) == deepest
+        for depth in (33, 3000):
+            with pytest.raises(ResourceError, match="32"):
+                parse_element("(" * depth + "0" + ")" * depth)
+
     def test_unbalanced(self):
         with pytest.raises(DomainError):
             parse_element("(0 1")
@@ -62,6 +75,11 @@ class TestGroupFiles:
     def test_bad_header(self):
         with pytest.raises(DomainError):
             parse_group("grp 2\n0 1\n0 1\n1 0\n")
+
+    def test_non_decimal_numerals(self):
+        for text in ("group ²\n0\n0\n", "group 2\n0 1\n0 1\n1 ²\n"):
+            with pytest.raises(DomainError):
+                parse_group(text)
 
     def test_wrong_line_count(self):
         with pytest.raises(DomainError):

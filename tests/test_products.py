@@ -132,6 +132,15 @@ class TestProducts:
                 assert len(products(h, k, z12)) == h.order * k.order // i.order
 
 
+    def test_products_match_definition(self, corpus_with_subgroups):
+        # S3 and S4 bring pairs where neither subgroup is normal
+        for g, subs in corpus_with_subgroups:
+            for h in subs:
+                for k in subs:
+                    expected = {g.op(a, b) for a in h.roster for b in k.roster}
+                    assert products(h, k, g) == tuple(sorted(expected, key=g.index))
+
+
 class TestProductGroup:
     def test_z6(self, z6):
         pg = product_group(cyclic(3, z6), cyclic(2, z6), z6)
@@ -226,6 +235,27 @@ class TestProductListMap:
         dp = direct_product(l)
         assert homomorphism_check(m, dp, g) is None
         assert classify(m, dp, g).isomorphism
+
+
+def product_list_val(x, g):
+    """x1 * (x2 * (... * xk)): the recursive fold product_list_map is defined by."""
+    if len(x) == 1:
+        return x[0]
+    return g.op(x[0], product_list_val(x[1:], g))
+
+
+def test_product_list_map_matches_recursive_fold(corpus_with_subgroups):
+    from grouptables.abelian import cyclic_subgroup_list
+
+    for g, _ in corpus_with_subgroups:
+        lists = [[g], [trivial_subgroup(g), g], [g, trivial_subgroup(g)]]
+        if abelianp(g):
+            factors = list(cyclic_subgroup_list(g))
+            lists += [factors, factors[::-1]]
+        for l in lists:
+            m = product_list_map(l, g)
+            assert m.domain == group_tuples(l)
+            assert all(mapply(m, x) == product_list_val(x, g) for x in m.domain)
 
 
 def test_product_orders():

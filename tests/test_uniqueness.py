@@ -3,7 +3,7 @@ import importlib
 import pytest
 from hypothesis import given, strategies as st
 
-from grouptables.core import cyclic_group, check_group
+from grouptables.core import abelianp, cyclic_group, check_group
 from grouptables.errors import DomainError
 from grouptables.gmaps import classify, homomorphism_check, identity_map, mapply
 from grouptables.products import direct_product, group_tuples
@@ -71,6 +71,19 @@ class TestGroupPower:
     def test_power_subgroup_is_valid(self, z12):
         h = group_power(2, z12)
         assert check_group(h.roster, h.table) is None
+
+    def test_matches_definition(self, corpus_with_subgroups):
+        for g, _ in corpus_with_subgroups:
+            if not abelianp(g):
+                continue
+            for n in list(range(1, 2 * g.order + 2)) + [255, 256]:
+                expected = set()
+                for x in g.roster:
+                    acc = g.identity
+                    for _ in range(n):
+                        acc = g.op(acc, x)
+                    expected.add(acc)
+                assert group_power(n, g).roster == tuple(x for x in g.roster if x in expected)
 
     def test_non_abelian_rejected(self, s3):
         with pytest.raises(DomainError):
