@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -128,7 +128,16 @@ class FiniteGroup:
 
 
 def check_group(roster, table):
-    """Return the first violated axiom, or None if (roster, table) is a group."""
+    """Return the first violated axiom, or None if (roster, table) is a group.
+
+    The axioms are checked in the order roster, shape, closure, identity
+    row, identity column, associativity, inverse.  Associativity is decided
+    by Light's test in O(n^2) memory: (x*s)*y = x*(s*y) for every x and y,
+    but only for s in a set that generates the table as a magma, since the
+    elements s that pass are closed under the operation.  On failure the
+    table is rescanned in row blocks for the lexicographically first
+    failing triple.
+    """
     roster = tuple(roster)
     n = len(roster)
     if n == 0:
@@ -141,29 +150,103 @@ def check_group(roster, table):
             seen.add(x)
     if len(table) != n or any(len(row) != n for row in table):
         return AxiomViolation("shape", (n,))
-    for i, row in enumerate(table):
-        for j, v in enumerate(row):
-            # two isinstance calls: a tuple of types would slow the int case
-            if (not (isinstance(v, int) or isinstance(v, np.integer))
-                    or isinstance(v, bool) or not 0 <= v < n):
-                return AxiomViolation("closure", (roster[i], roster[j], v))
-    t = np.array(table, dtype=np.intp)
+    t, bad = _index_entries(table, n)
+    if bad is not None:
+        i, j = divmod(bad, n)
+        return AxiomViolation("closure", (roster[i], roster[j], table[i][j]))
     if not np.array_equal(t[0], np.arange(n)):
         j = int(np.nonzero(t[0] != np.arange(n))[0][0])
         return AxiomViolation("identity-row", (roster[j],))
     if not np.array_equal(t[:, 0], np.arange(n)):
         i = int(np.nonzero(t[:, 0] != np.arange(n))[0][0])
         return AxiomViolation("identity-column", (roster[i],))
-    left = t[t]            # left[i, j, k] = t[t[i, j], k]
-    right = t[:, t]        # right[i, j, k] = t[i, t[j, k]]
-    if not np.array_equal(left, right):
-        i, j, k = (int(v[0]) for v in np.nonzero(left != right))
+    if not all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in _magma_generators(t)):
+        i, j, k = _first_non_associative(t)
         return AxiomViolation("associativity", (roster[i], roster[j], roster[k]))
-    for i in range(n):
-        js = np.nonzero(t[i] == 0)[0]
-        if len(js) == 0 or t[js[0], i] != 0:
-            return AxiomViolation("inverse", (roster[i],))
+    # in a finite monoid x*y = identity implies y*x = identity, so a row
+    # holding the identity is all an inverse needs
+    lacks = ~(t == 0).any(axis=1)
+    if lacks.any():
+        return AxiomViolation("inverse", (roster[int(np.argmax(lacks))],))
     return None
+
+
+def _index_entries(table, n):
+    """(t, None) with t the n x n intp array of the table's entries, or
+    (None, k) with k the row-major position of the first entry that is not
+    an integer index below n.
+
+    Nested sequences are typed entry by entry, not through np.array, which
+    would turn [0, True] into int64 silently.
+    """
+    if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype.kind in "iu":
+        entries = table.ravel()
+        stop = entries.size
+    else:
+        entries = list(chain.from_iterable(table))
+        # bool is an int subclass, and np.bool_ is no np.integer
+        bad_kinds = {kind for kind in set(map(type, entries))
+                     if issubclass(kind, bool) or not issubclass(kind, (int, np.integer))}
+        stop = len(entries)
+        if bad_kinds:
+            kinds = map(bad_kinds.__contains__, map(type, entries))
+            stop = int(np.argmax(np.fromiter(kinds, bool, len(entries))))
+        # values near [0, n) are exact even if numpy promotes to float64
+        entries = np.array(entries[:stop])
+    outside = np.flatnonzero((entries < 0) | (entries >= n))
+    if len(outside):
+        return None, int(outside[0])
+    if stop < n * n:
+        return None, stop
+    return entries.astype(np.intp).reshape(n, n), None
+
+
+def _magma_generators(t):
+    """Indices that, with the identity, generate the table t as a magma.
+
+    The closure starts as {identity}; each round adds the first index not
+    yet inside as a generator and closes again under all products, taking
+    only the new frontier against the members.  No associativity is
+    assumed, so the result also holds for tables that are no group.
+    """
+    n = len(t)
+    inside = np.zeros(n, dtype=bool)
+    inside[0] = True
+    gens = []
+    while not inside.all():
+        s = int(np.argmin(inside))
+        gens.append(s)
+        inside[s] = True
+        frontier = np.array([s])
+        while len(frontier):
+            members = np.flatnonzero(inside)
+            new = np.zeros(n, dtype=bool)
+            new[t[frontier][:, members]] = True
+            new[t[members][:, frontier]] = True
+            new &= ~inside
+            inside |= new
+            frontier = np.flatnonzero(new)
+    return gens
+
+
+def _first_non_associative(t):
+    """The lexicographically first (i, j, k) with (i*j)*k != i*(j*k).
+
+    Rows i are scanned in blocks that double from one row up to about 2^20
+    triples, since a damaged group table tends to fail in its first rows.
+    """
+    n = len(t)
+    cap = max(1, (1 << 20) // (n * n))
+    i0, rows = 0, 1
+    while i0 < n:
+        block = t[i0:i0 + rows]
+        bad = np.argwhere(t[block] != block[:, t])
+        if len(bad):
+            i, j, k = (int(v) for v in bad[0])
+            return i0 + i, j, k
+        i0 += rows
+        rows = min(2 * rows, cap)
+    raise AssertionError("the table is associative")
 
 
 def validate_group(roster, table):
@@ -186,10 +269,10 @@ def subgroup(g, roster):
         raise DomainError("subgroup roster has duplicates")
     if not roster or roster[0] != g.identity:
         raise DomainError("subgroup roster must start with the parent identity")
-    emb = [g.index(x) for x in roster]
+    emb = np.array([g.index(x) for x in roster])
     local = np.full(g.order, -1)  # parent index -> subgroup index, -1 outside
     local[emb] = np.arange(len(roster))
-    table = local[g.table[np.ix_(emb, emb)]]
+    table = local[g.table[emb][:, emb]]
     if (table < 0).any():
         x, y = (roster[i] for i in np.argwhere(table < 0)[0])
         raise DomainError(f"roster not closed: {x!r} * {y!r} = {g.op(x, y)!r}")
@@ -205,7 +288,7 @@ def subgroupp(h, g):
     if h.identity != g.identity:
         return False
     emb = np.array([g.index(x) for x in h.roster])
-    return np.array_equal(emb[h.table], g.table[np.ix_(emb, emb)])
+    return np.array_equal(emb[h.table], g.table[emb][:, emb])
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def parse_group(text):
     table = []
     for ln in lines[2:]:
         row = ln.split()
-        if len(row) != n or not all(v.isdecimal() for v in row):
+        if len(row) != n or not all(map(str.isdecimal, row)):
             raise DomainError(f"bad table row: {ln!r}")
         table.append(parse_numerals(row))
     return tuple(roster), tuple(table)

@@ -2,11 +2,14 @@
 
 Nothing here calls the code paths under test: isomorphism search is raw
 backtracking over element bijections or generator images, arithmetic is
-naive trial division, subgroup enumeration is closure from below.
+naive trial division, subgroup enumeration is closure from below, and the
+group axioms are compared on full n^3 cubes of products.
 """
 from __future__ import annotations
 
 from itertools import permutations
+
+import numpy as np
 
 from grouptables.core import abelianp, generated_subgroup, trivial_subgroup
 from grouptables.gmaps import GroupMap
@@ -45,6 +48,47 @@ def factor_multisets(n, smallest=2):
 def prime_power_multisets(n):
     """Sorted tuples of prime powers >= 2 with product n."""
     return [ms for ms in factor_multisets(n) if all(is_prime_power(d) for d in ms)]
+
+
+def check_group_cubes(roster, table):
+    """(kind, witness) of the first violated group axiom, or None: the
+    library's former check_group, which compares associativity on the two
+    n^3 index cubes t[t] and t[:, t] and scans entries and inverses one at
+    a time."""
+    roster = tuple(roster)
+    n = len(roster)
+    if n == 0:
+        return "roster", ("empty",)
+    if len(set(roster)) != n:
+        seen = set()
+        for x in roster:
+            if x in seen:
+                return "roster", (x,)
+            seen.add(x)
+    if len(table) != n or any(len(row) != n for row in table):
+        return "shape", (n,)
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            if (not (isinstance(v, int) or isinstance(v, np.integer))
+                    or isinstance(v, bool) or not 0 <= v < n):
+                return "closure", (roster[i], roster[j], v)
+    t = np.array(table, dtype=np.intp)
+    if not np.array_equal(t[0], np.arange(n)):
+        j = int(np.nonzero(t[0] != np.arange(n))[0][0])
+        return "identity-row", (roster[j],)
+    if not np.array_equal(t[:, 0], np.arange(n)):
+        i = int(np.nonzero(t[:, 0] != np.arange(n))[0][0])
+        return "identity-column", (roster[i],)
+    left = t[t]            # left[i, j, k] = t[t[i, j], k]
+    right = t[:, t]        # right[i, j, k] = t[i, t[j, k]]
+    if not np.array_equal(left, right):
+        i, j, k = (int(v[0]) for v in np.nonzero(left != right))
+        return "associativity", (roster[i], roster[j], roster[k])
+    for i in range(n):
+        js = np.nonzero(t[i] == 0)[0]
+        if len(js) == 0 or t[js[0], i] != 0:
+            return "inverse", (roster[i],)
+    return None
 
 
 def all_subgroups(g):
