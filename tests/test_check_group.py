@@ -103,6 +103,18 @@ def test_null_semigroup_monoid(n):
     assert_matches_cubes(roster, table)
 
 
+@pytest.mark.parametrize("n", [3, 5, 40])
+def test_products_all_identity(n):
+    # every product of two non-identity elements is the identity, so none
+    # of them is a product of others and all n - 1 are generators; for
+    # n >= 3 the table is not associative: (a1 * a1) * a2 = a2, a1 * (a1 * a2) = a1
+    table = [[j if i == 0 else i if j == 0 else 0 for j in range(n)] for i in range(n)]
+    assert _magma_generators(np.array(table)) == list(range(1, n))
+    roster = tuple(range(10, 10 + n))
+    assert verdict(roster, table) == ("associativity", (11, 11, 12))
+    assert_matches_cubes(roster, table)
+
+
 # a Latin square with identity: a loop, but no group (1 has order 2 in a
 # loop of order 5), hence not associative
 LOOP5 = [
