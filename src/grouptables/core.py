@@ -176,19 +176,24 @@ def _index_entries(table, n):
     (None, k) with k the row-major position of the first entry that is not
     an integer index below n.
 
-    Entries are typed one by one, not through np.array, which would turn
-    [0, True] into int64 silently; an array table is read the same way.
+    A 2-D integer array (parse_group's plain tables) is typed by its dtype.
+    Other entries are typed one by one, not through np.array, which would
+    turn [0, True] into int64 silently.
     """
-    entries = list(chain.from_iterable(table))
-    # bool is an int subclass, and np.bool_ is no np.integer
-    bad_kinds = {kind for kind in set(map(type, entries))
-                 if issubclass(kind, bool) or not issubclass(kind, (int, np.integer))}
-    stop = len(entries)
-    if bad_kinds:
-        kinds = map(bad_kinds.__contains__, map(type, entries))
-        stop = int(np.argmax(np.fromiter(kinds, bool, len(entries))))
-    # values near [0, n) are exact even if numpy promotes to float64
-    entries = np.array(entries[:stop])
+    if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype.kind in "iu":
+        entries = table.ravel()
+        stop = entries.size
+    else:
+        entries = list(chain.from_iterable(table))
+        # bool is an int subclass, and np.bool_ is no np.integer
+        bad_kinds = {kind for kind in set(map(type, entries))
+                     if issubclass(kind, bool) or not issubclass(kind, (int, np.integer))}
+        stop = len(entries)
+        if bad_kinds:
+            kinds = map(bad_kinds.__contains__, map(type, entries))
+            stop = int(np.argmax(np.fromiter(kinds, bool, len(entries))))
+        # values near [0, n) are exact even if numpy promotes to float64
+        entries = np.array(entries[:stop])
     outside = np.flatnonzero((entries < 0) | (entries >= n))
     if len(outside):
         return None, int(outside[0])

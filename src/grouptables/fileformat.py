@@ -5,9 +5,19 @@ Group file: line 1 is `group <n>`; line 2 holds the n element labels
 indices.  Structured elements print as parenthesized tuples, e.g. `(0 1)`,
 so label tokenization is paren-aware.  parse(print(g)) round-trips exactly.
 
+A plain table (ASCII digits and blanks, n numerals per row, every entry
+below n) is read at once into an n x n integer array of indices, which
+check_group types by its dtype; any other table is read row by row into
+tuples, and that loop alone reports bad rows and numerals too long to
+convert.
+
 Map file: one `x -> y` line per pair, with the same label syntax.
 """
 from __future__ import annotations
+
+import re
+
+import numpy as np
 
 from .core import MAX_DEPTH, MAX_ORDER, validate_group
 from .errors import DomainError, ResourceError
@@ -34,23 +44,12 @@ def parse_numerals(tokens):
         raise ResourceError("a numeral exceeds the integer conversion limit") from None
 
 
+# \s matches exactly the characters str.isspace accepts
+_TOKENS = re.compile(r"[()]|[^\s()]+")
+
+
 def _tokenize(text):
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            out.append(ch)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            out.append(text[i:j])
-            i = j
-    return out
+    return _TOKENS.findall(text)
 
 
 def _parse_one(tokens, k, depth=0):
@@ -102,8 +101,40 @@ def print_group(g):
     return "\n".join(lines) + "\n"
 
 
+_MAX_DIGITS = 18  # int64 holds every 18-digit numeral; int() converts them all
+
+
+def _index_array(rows, n):
+    """The n rows as an n x n int64 array, or None unless every row is n
+    ASCII numerals of at most 18 digits between blanks, each below n."""
+    body = "\n".join(rows)
+    if not body.isascii():
+        return None
+    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    digit = b - ord("0") < 10  # uint8: bytes below "0" wrap past 10
+    newline = b == ord("\n")
+    if not (digit | newline | (b == ord(" ")) | (b == ord("\t"))).all():
+        return None
+    padded = np.concatenate(([False], digit, [False]))
+    starts, ends = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2).T
+    if len(starts) != n * n or (ends - starts).max() > _MAX_DIGITS:
+        return None
+    # n numerals per row: the k-th row break has k * n numerals before it
+    if not np.array_equal(np.searchsorted(starts, np.flatnonzero(newline)),
+                          np.arange(n, n * n, n)):
+        return None
+    t = np.fromstring(body, dtype=np.int64, sep=" ")
+    if (t >= n).any():
+        return None
+    return t.reshape(n, n)
+
+
 def parse_group(text):
-    """Parse a group file into (roster, table) without validating axioms."""
+    """Parse a group file into (roster, table) without validating axioms.
+
+    The table is an n x n int64 array when the rows are plain (see
+    _index_array), and a tuple of row tuples of ints otherwise.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DomainError("empty group file")
@@ -118,13 +149,16 @@ def parse_group(text):
     roster = parse_elements(lines[1])
     if len(roster) != n:
         raise DomainError(f"expected {n} labels, got {len(roster)}")
-    table = []
-    for ln in lines[2:]:
-        row = ln.split()
-        if len(row) != n or not all(map(str.isdecimal, row)):
-            raise DomainError(f"bad table row: {ln!r}")
-        table.append(parse_numerals(row))
-    return tuple(roster), tuple(table)
+    table = _index_array(lines[2:], n)
+    if table is None:
+        table = []
+        for ln in lines[2:]:
+            row = ln.split()
+            if len(row) != n or not all(map(str.isdecimal, row)):
+                raise DomainError(f"bad table row: {ln!r}")
+            table.append(parse_numerals(row))
+        table = tuple(table)
+    return tuple(roster), table
 
 
 def load_group(text):

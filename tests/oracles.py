@@ -2,8 +2,9 @@
 
 Nothing here calls the code paths under test: isomorphism search is raw
 backtracking over element bijections or generator images, arithmetic is
-naive trial division, subgroup enumeration is closure from below, and the
-group axioms are compared on full n^3 cubes of products.
+naive trial division, subgroup enumeration is closure from below, the
+group axioms are compared on full n^3 cubes of products, and group files
+are read one character and one row at a time.
 """
 from __future__ import annotations
 
@@ -11,7 +12,9 @@ from itertools import permutations
 
 import numpy as np
 
-from grouptables.core import abelianp, generated_subgroup, trivial_subgroup
+from grouptables.core import MAX_ORDER, abelianp, generated_subgroup, trivial_subgroup
+from grouptables.errors import DomainError, ResourceError
+from grouptables.fileformat import parse_elements, parse_numerals
 from grouptables.gmaps import GroupMap
 
 
@@ -89,6 +92,56 @@ def check_group_cubes(roster, table):
         if len(js) == 0 or t[js[0], i] != 0:
             return "inverse", (roster[i],)
     return None
+
+
+def tokenize_chars(text):
+    """Label tokens, one character at a time: the library's former
+    fileformat._tokenize.  Parentheses are tokens of their own, whitespace
+    (str.isspace) separates, and every other run of characters is a token."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            out.append(ch)
+            i += 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            out.append(text[i:j])
+            i = j
+    return out
+
+
+def parse_group_rows(text):
+    """(roster, table) of a group file with the table read row by row into
+    tuples of ints: the library's former fileformat.parse_group, with the
+    same errors and messages.  Labels go through the library's
+    parse_elements, whose tokenizer is compared with tokenize_chars."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise DomainError("empty group file")
+    head = lines[0].split()
+    if len(head) != 2 or head[0] != "group" or not head[1].isdecimal():
+        raise DomainError(f"bad header line: {lines[0]!r}")
+    n = parse_numerals([head[1]])[0]
+    if n > MAX_ORDER:
+        raise ResourceError(f"group file order {n} exceeds the {MAX_ORDER} guard")
+    if len(lines) != n + 2:
+        raise DomainError(f"expected {n + 2} lines, got {len(lines)}")
+    roster = parse_elements(lines[1])
+    if len(roster) != n:
+        raise DomainError(f"expected {n} labels, got {len(roster)}")
+    table = []
+    for ln in lines[2:]:
+        row = ln.split()
+        if len(row) != n or not all(map(str.isdecimal, row)):
+            raise DomainError(f"bad table row: {ln!r}")
+        table.append(parse_numerals(row))
+    return tuple(roster), tuple(table)
 
 
 def all_subgroups(g):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from grouptables.core import cyclic, cyclic_group, quotient, symmetric_group
@@ -71,6 +72,16 @@ class TestGroupFiles:
         z4 = cyclic_group(4)
         q = quotient(z4, cyclic(2, z4))
         assert load_group(print_group(q)) == q
+
+    def test_plain_table_is_read_into_index_array(self, small_abelian_corpus):
+        z4 = cyclic_group(4)
+        groups = [g for _, g in small_abelian_corpus]
+        groups += [symmetric_group(k) for k in (3, 4, 5)] + [quotient(z4, cyclic(2, z4))]
+        for g in groups:
+            roster, table = parse_group(print_group(g))
+            assert roster == g.roster
+            assert isinstance(table, np.ndarray) and table.dtype.kind in "iu"
+            assert np.array_equal(table, g.table)
 
     def test_bad_header(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,177 @@
+"""parse_group against the row-by-row reference oracles.parse_group_rows,
+and the label tokenizer against oracles.tokenize_chars.
+
+A plain table is read into an index array and anything else row by row, so
+both parsers must give the same roster and table values, or raise the same
+exception with the same message, and `validate` must give the same exit
+code, stdout and stderr either way.
+"""
+import contextlib
+import io
+import re
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from grouptables import cli
+from grouptables.core import cyclic, cyclic_group, quotient, symmetric_group
+from grouptables.fileformat import _tokenize, parse_group, print_group
+from grouptables.products import direct_product
+
+from oracles import parse_group_rows, tokenize_chars
+
+Z4 = cyclic_group(4)
+BASES = {
+    "z1": cyclic_group(1),
+    "z2": cyclic_group(2),
+    "z6": cyclic_group(6),
+    "z12": cyclic_group(12),
+    "s3": symmetric_group(3),
+    "z2xz2": direct_product([cyclic_group(2), cyclic_group(2)]),
+    "z4/<2>": quotient(Z4, cyclic(2, Z4)),
+}
+
+
+def outcome(parse, text):
+    try:
+        roster, table = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return roster, [[int(v) for v in row] for row in table]
+
+
+def validate(path, parse=parse_group):
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.object(cli, "parse_group", parse),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        code = cli.main(["validate", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_same(text, path):
+    assert outcome(parse_group, text) == outcome(parse_group_rows, text)
+    path.write_bytes(text.encode("utf-8"))
+    assert validate(path) == validate(path, parse_group_rows)
+
+
+def cells(g):
+    return [[str(v) for v in row] for row in g.table.tolist()]
+
+
+def render(g, rows, sep=" ", lead="", trail="", eol="\n"):
+    head = print_group(g).splitlines()[:2]
+    return eol.join(head + [lead + sep.join(row) + trail for row in rows]) + eol
+
+
+def with_cells(g, changes):
+    rows = cells(g)
+    for (i, j), token in changes.items():
+        rows[i][j] = token
+    return render(g, rows)
+
+
+def hand_cases():
+    z6, z12, s3 = BASES["z6"], BASES["z12"], BASES["s3"]
+    big = "9" * 5000
+    short, long, both, last = cells(z12), cells(z12), cells(z12), cells(z12)
+    del short[5][3], both[5][3]
+    long[7].append("0")
+    both[7].append("0")
+    last[-1].append("0")
+    cases = {f"print-{name}": print_group(g) for name, g in BASES.items()}
+    cases.update({
+        "tabs": render(z12, cells(z12), sep="\t"),
+        "double-blanks": render(z12, cells(z12), sep="  "),
+        "trailing-blanks": render(s3, cells(s3), trail=" \t "),
+        "leading-blanks": render(s3, cells(s3), lead="  "),
+        "nbsp-blanks": render(z6, cells(z6), sep="\u00a0"),
+        "unit-separator-blanks": render(z6, cells(z6), sep="\x1f"),
+        "crlf-and-blank-lines": render(z12, cells(z12), eol="\r\n\n"),
+        "leading-zeros": with_cells(z12, {(1, 1): "002", (3, 4): "0" * 16 + "7"}),
+        "leading-zeros-18-digits": with_cells(z12, {(2, 2): "0" * 17 + "4"}),
+        "leading-zeros-19-digits": with_cells(z12, {(2, 2): "0" * 18 + "4"}),
+        "leading-zeros-5001-digits": with_cells(z12, {(2, 2): "0" * 5000 + "4"}),
+        "arabic-indic-digit-in-place": with_cells(z6, {(1, 2): "٣"}),
+        "arabic-indic-digit-wrong": with_cells(z6, {(1, 1): "٣"}),
+        "superscript-two": with_cells(z6, {(2, 3): "²"}),
+        "minus-one": with_cells(z6, {(2, 3): "-1"}),
+        "plus-one": with_cells(z6, {(2, 3): "+1"}),
+        "hash": with_cells(z6, {(2, 3): "#"}),
+        "exponent": with_cells(z6, {(2, 3): "1e3"}),
+        "entry-equal-to-n": with_cells(s3, {(2, 4): "6"}),
+        "entry-one-below-n": with_cells(s3, {(2, 4): "5"}),
+        "entry-10^30": with_cells(s3, {(2, 4): str(10 ** 30)}),
+        "entry-2^64+1": with_cells(s3, {(2, 4): str(2 ** 64 + 1)}),
+        "5000-digits-before-bad-row": with_cells(z6, {(2, 3): big, (4, 1): "#"}),
+        "5000-digits-after-bad-row": with_cells(z6, {(2, 3): "#", (4, 1): big}),
+        "short-row": render(z12, short),
+        "long-row": render(z12, long),
+        "short-and-long-rows": render(z12, both),
+        "long-last-row": render(z12, last),
+        "order-1-damaged": with_cells(BASES["z1"], {(0, 0): "1"}),
+    })
+    return cases
+
+
+HAND_CASES = hand_cases()
+
+
+@pytest.mark.parametrize("text", HAND_CASES.values(), ids=HAND_CASES.keys())
+def test_hand_cases_match_rows(text, tmp_path):
+    assert_same(text, tmp_path / "g.grp")
+
+
+def test_printed_groups_match_rows(small_abelian_corpus, tmp_path):
+    groups = [g for _, g in small_abelian_corpus]
+    groups += [symmetric_group(k) for k in (3, 4, 5)] + [BASES["z4/<2>"]]
+    for g in groups:
+        assert_same(print_group(g), tmp_path / "g.grp")
+
+
+BLANKS = [" ", "  ", "\t", " \t ", "\u00a0", "\u3000", "\x1f", "\x0c"]
+
+
+def odd_tokens(n):
+    return ["0", "00", "٣", "²", "-1", "+1", "#", "1e3", "(1)", "", "1 1",
+            str(n), str(n + 1), str(10 ** 30), "0" * 18 + "1", "0" * 17 + "1",
+            "9" * 5000, "0" * 5000 + "1"]
+
+
+@st.composite
+def damaged_texts(draw):
+    """A printed base group with up to three cells replaced, by other
+    indices or by odd tokens, and its rows reformatted."""
+    g = BASES[draw(st.sampled_from(sorted(BASES)))]
+    n = g.order
+    rows = cells(g)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(st.integers(0, 2 * n).map(str) | st.sampled_from(odd_tokens(n)))
+    sep = draw(st.sampled_from(BLANKS))
+    lines = [draw(st.sampled_from(["", " ", "\t"])) + sep.join(row)
+             + draw(st.sampled_from(["", " ", "\t "])) for row in rows]
+    k = draw(st.integers(0, n - 1))
+    lines[k] = draw(st.sampled_from(BLANKS)).join(rows[k])
+    eol = draw(st.sampled_from(["\n", "\r\n", "\n\n", "\r"]))
+    return eol.join(print_group(g).splitlines()[:2] + lines) + eol
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_texts())
+def test_damaged_texts_match_rows(tmp_path_factory, text):
+    assert_same(text, tmp_path_factory.getbasetemp() / "damaged.grp")
+
+
+def test_regex_blank_is_str_isspace():
+    chars = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", chars) == [ch for ch in chars if ch.isspace()]
+
+
+LABEL_CHARS = "() \t\n\r\x0b\x0c\x1c\x1f\x85\u00a0\u2003\u2028\u3000²-1٣x,"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(LABEL_CHARS) | st.characters()))
+def test_tokenize_matches_character_loop(text):
+    assert _tokenize(text) == tokenize_chars(text)
