@@ -5,7 +5,8 @@ The split works through the quotient by a small cyclic subgroup: pick a of
 maximal order, find an order-p coset in g/<a>, correct its representative by
 a power of a so that its p-th power is the identity, and recurse on the
 quotient by the resulting order-p cyclic subgroup, lifting the complement
-back up.
+back up.  Arguments are checked at each public entry; the factor list is
+checked once, by `abelian_factorization`'s isomorphism check.
 """
 from __future__ import annotations
 
@@ -138,7 +139,6 @@ def desired_properties_check(g, g1, g2):
 @dataclass(frozen=True)
 class PFactorization:
     factors: tuple
-    parent: FiniteGroup
 
     @property
     def orders(self):
@@ -149,18 +149,16 @@ def cyclic_p_subgroup_list(p, g):
     """Full decomposition of an abelian p-group into cyclic subgroups.
 
     Chooses a maximal-order generator first, so factor orders come out
-    non-increasing; the trivial group yields no factors.
+    non-increasing; the trivial group yields no factors.  Complements of an
+    abelian p-group are abelian p-groups, so the loop checks g only once.
     """
     if not p_groupp(g, p):
         raise DomainError("not a p-group for p")
     if not abelianp(g):
         raise DomainError("not abelian")
-    if g.order == 1:
-        return PFactorization((), g)
-    if cyclicp(g):
-        return PFactorization((g,), g)
-    a = elt_of_ord(max_ord(g), g)
-    g1 = cyclic(a, g)
-    g2 = complement_subgroup(a, p, g)
-    rest = cyclic_p_subgroup_list(p, g2)
-    return PFactorization((g1,) + rest.factors, g)
+    factors = ()
+    while not cyclicp(g):
+        a = elt_of_ord(max_ord(g), g)
+        factors += (cyclic(a, g),)
+        g = complement_subgroup(a, p, g)
+    return PFactorization(factors + ((g,) if g.order > 1 else ()))

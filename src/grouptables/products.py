@@ -1,4 +1,8 @@
-"""Direct products, products of subgroups, and internal direct products."""
+"""Direct products, products of subgroups, and internal direct products.
+
+Arguments are checked at each public entry; `product_list_map` leaves its
+candidate map to the caller's isomorphism check.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -89,8 +93,6 @@ def products(h, k, g):
 
 def product_group(h, k, g):
     """The subgroup on products(h, k, g); needs h or k normal in g."""
-    if not (subgroupp(h, g) and subgroupp(k, g)):
-        raise DomainError("product-group requires subgroups of g")
     if not (normalp(h, g) or normalp(k, g)):
         raise DomainError("product-group requires h or k normal in g")
     return subgroup(g, products(h, k, g))
@@ -157,18 +159,14 @@ def internal_direct_product_append(l, m, g):
 
 
 def product_list_map(l, g):
-    """The isomorphism candidate from direct_product(l) onto g.
+    """The candidate map from direct_product(l) to g, for subgroups l of g.
 
     Sends (x1, ..., xk) to x1 * (x2 * (... * xk)), folded on index arrays
-    with the first factor slowest, as in group_tuples.  Requires l to be an
-    internal direct product of g with full order; the caller is expected to
-    verify the result with classify().
+    with the first factor slowest, as in group_tuples.  It is an isomorphism
+    exactly when l is an internal direct product of g, which the caller
+    checks with homomorphism_check and classify().
     """
     l = list(l)
-    if not internal_direct_product_p(l, g):
-        raise DomainError("product-list-map requires an internal direct product")
-    if product_orders(l) != g.order:
-        raise DomainError("product of orders must equal the group order")
     images = np.zeros(1, dtype=np.intp)  # g's identity
     for h in reversed(l):
         images = g.table[[g.index(x) for x in h.roster]][:, images].ravel()

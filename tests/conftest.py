@@ -1,5 +1,6 @@
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,3 +77,27 @@ def hom_check_calls(monkeypatch):
         module = importlib.import_module("grouptables." + name)
         monkeypatch.setattr(module, "homomorphism_check", counted)
     return calls
+
+
+@pytest.fixture
+def factorization_calls(monkeypatch):
+    """A Counter of calls to cyclic_subgroup_list, cyclic_p_subgroup_list and
+    internal_direct_product_p, each counted under every name a grouptables
+    module binds the function to."""
+    counts = Counter()
+    targets = [(name, getattr(importlib.import_module("grouptables." + module), name))
+               for module, name in (("abelian", "cyclic_subgroup_list"),
+                                    ("pgroup", "cyclic_p_subgroup_list"),
+                                    ("products", "internal_direct_product_p"))]
+    modules = [m for n, m in list(sys.modules.items()) if n.startswith("grouptables.")]
+    for name, fn in targets:
+
+        def counted(*args, fn=fn, name=name):
+            counts[name] += 1
+            return fn(*args)
+
+        for other in modules:
+            for attr, value in list(vars(other).items()):
+                if value is fn:
+                    monkeypatch.setattr(other, attr, counted)
+    return counts

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from grouptables.abelian import (
@@ -7,13 +9,15 @@ from grouptables.abelian import (
     rel_prime_split,
     subgroup_ord_dividing,
 )
-from grouptables.core import cyclic_group, group_intersection
+from grouptables.core import cyclic_group, group_intersection, subgroup
 from grouptables.errors import DomainError
 from grouptables.gmaps import classify, homomorphism_check
 from grouptables.pgroup import cyclic_p_group_list_p
 from grouptables.products import (
     direct_product,
+    group_tuples,
     internal_direct_product_p,
+    product_list_map,
     product_orders,
 )
 
@@ -117,6 +121,30 @@ class TestAbelianFactorization:
     def test_trivial_rejected(self):
         with pytest.raises(DomainError):
             abelian_factorization(cyclic_group(1))
+
+    def test_each_precondition_checked_once(self, factorization_calls):
+        # Z2^4 x Z9, Z2 x Z3 x Z5 and Z8 x Z8 have 2, 3 and 1 prime blocks
+        for g, blocks in ((dp(2, 2, 2, 2, 9), 2), (dp(2, 3, 5), 3), (dp(8, 8), 1)):
+            factorization_calls.clear()
+            abelian_factorization(g)
+            assert factorization_calls["cyclic_subgroup_list"] == 1
+            assert factorization_calls["cyclic_p_subgroup_list"] == blocks
+            assert factorization_calls["internal_direct_product_p"] == 0
+
+    @pytest.mark.parametrize("copies", [2, 1])
+    def test_isomorphism_check_is_the_only_guard(self, monkeypatch, z4, copies):
+        # [<2>, <2>] has the right product order but is no internal direct
+        # product; [<2>] is short of the group order
+        abelian = importlib.import_module("grouptables.abelian")
+        bad = [subgroup(z4, (0, 2))] * copies
+        monkeypatch.setattr(abelian, "cyclic_subgroup_list", lambda g: tuple(bad))
+        with pytest.raises(RuntimeError, match="factorization map not an isomorphism"):
+            abelian_factorization(z4)
+        m = product_list_map(bad, z4)
+        dpb = direct_product(bad)
+        assert m.domain == group_tuples(bad)
+        assert homomorphism_check(m, dpb, z4) is None
+        assert not classify(m, dpb, z4).isomorphism
 
     def test_corpus_full_verification(self, small_abelian_corpus):
         for ms, g in small_abelian_corpus:
