@@ -145,11 +145,7 @@ def cmd_cayley(args, out):
 def cmd_factor(args, out):
     if not args:
         return 2
-    g = _group_from_args(args)
-    if not abelianp(g):
-        print("error: group is not abelian", file=out)
-        return 1
-    fact = abelian_factorization(g)
+    fact = abelian_factorization(_group_from_args(args))
     for h in fact.factors:
         p = least_prime_divisor(h.order)
         gen = format_element(h.roster[1])
@@ -196,8 +192,7 @@ def cmd_unique(args, out):
     elif orders(l) == orders(m):
         iso = identity_map(group_tuples(l))
     else:
-        print("error: a map file is required when the lists differ", file=out)
-        return 2
+        raise UsageError("a map file is required when the lists differ")
     print(f"orders L: [{', '.join(str(n) for n in orders(l))}]", file=out)
     print(f"orders M: [{', '.join(str(n) for n in orders(m))}]", file=out)
     verdict = verify_unique_factorization(l, m, iso)

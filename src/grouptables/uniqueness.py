@@ -4,6 +4,10 @@ The contraction step takes p-th powers of every factor (which divides the
 p-divisible orders by p and collapses order-p factors), deletes the collapsed
 factors, and transports the isomorphism through the contraction.  Induction
 on the contracted lists forces the order multisets to agree.
+
+The lists are checked once, at entry: a p-th power of a cyclic p-group is
+again one or is trivial and dropped, so no later level can fail that check.
+The map is checked at every level, as it is the certificate.
 """
 from __future__ import annotations
 
@@ -13,14 +17,9 @@ import numpy as np
 
 from .core import abelianp, subgroup
 from .errors import DomainError
-from .gmaps import (
-    GroupMap,
-    classify,
-    compose_maps,
-    homomorphism_check,
-    map_from_function,
-)
+from .gmaps import GroupMap, classify, homomorphism_check
 from .numtheory import divides, least_prime_divisor, primep
+from .pgroup import cyclic_p_group_list_p
 from .products import direct_product, group_tuples
 
 
@@ -119,61 +118,46 @@ def delete_trivial_elt(x, l):
     return tuple(c for c, g in zip(x, l) if g.order > 1)
 
 
-def delete_trivial_iso(l):
-    """The tuple-contraction map dropping trivial-group components.
-
-    An isomorphism from direct_product(l) onto the product of the
-    non-trivial members; requires at least one non-trivial member.
-    """
-    l = list(l)
-    if not delete_trivial(l):
-        raise DomainError("delete-trivial-iso needs a non-trivial member")
-    return map_from_function(group_tuples(l), lambda x: delete_trivial_elt(x, l))
-
-
 def reduce_cyclic_iso(iso, l, m, p):
     """Transport an isomorphism dp(l) -> dp(m) to the contracted products.
 
-    Composition of: un-contracting on the l side, the restriction of iso to
-    the power subgroup (legitimate because isomorphic abelian groups have
-    isomorphic n-th powers), and contracting on the m side.  Un-contracting
-    swaps the pairs of the l-side contraction, whose distinct-key check
-    rejects a contraction that is not injective; the composed map itself is
+    The restriction of iso to the p-th power subgroup (legitimate because
+    isomorphic abelian groups have isomorphic n-th powers), with the
+    trivial components dropped on both sides.  GroupMap's distinct-key
+    check rejects a contraction that is not injective; the map itself is
     checked in full by the next level of verify_unique_factorization.
     """
-    contract_l = delete_trivial_iso(group_power_list(p, l))
-    contract_m = delete_trivial_iso(group_power_list(p, m))
-    expand = GroupMap(tuple((y, x) for x, y in contract_l.pairs))
-    return compose_maps(contract_m, compose_maps(iso, expand))
+    pl, pm = group_power_list(p, l), group_power_list(p, m)
+    return GroupMap(tuple(
+        (delete_trivial_elt(x, pl), delete_trivial_elt(iso.apply(x), pm))
+        for x in group_tuples(pl)
+    ))
 
 
 def verify_unique_factorization(l, m, iso):
     """Run the uniqueness induction, returning the permutation verdict.
 
-    l and m must be non-empty cyclic p-group lists and iso a genuine
-    isomorphism between their direct products (re-verified at every level);
-    a True return certifies that the order multisets are permutations.
+    l and m must be non-empty cyclic p-group lists, checked once here, and
+    iso a genuine isomorphism between their direct products, re-verified
+    at every level; a True return certifies that the order multisets are
+    permutations.
     """
-    from .pgroup import cyclic_p_group_list_p
-
     l, m = list(l), list(m)
     if not l or not m:
         raise DomainError("uniqueness needs non-empty lists")
     if not cyclic_p_group_list_p(l) or not cyclic_p_group_list_p(m):
         raise DomainError("uniqueness needs cyclic p-group lists")
-    dpl, dpm = direct_product(l), direct_product(m)
-    witness = homomorphism_check(iso, dpl, dpm)
-    if witness is not None:
-        raise DomainError(f"map is not a homomorphism: {witness}")
-    if not classify(iso, dpl, dpm).isomorphism:
-        raise DomainError("map is not an isomorphism")
-    p = first_prime(l)
-    l2 = reduce_cyclic(l, p)
-    m2 = reduce_cyclic(m, p)
-    if not l2 or not m2:
-        # base case: every surviving order must already agree up to permutation
-        return permutationp(orders(l), orders(m))
-    sub = verify_unique_factorization(
-        list(l2), list(m2), reduce_cyclic_iso(iso, l, m, p)
-    )
-    return sub and permutationp(orders(l), orders(m))
+    verdict = True
+    while True:
+        dpl, dpm = direct_product(l), direct_product(m)
+        witness = homomorphism_check(iso, dpl, dpm)
+        if witness is not None:
+            raise DomainError(f"map is not a homomorphism: {witness}")
+        if not classify(iso, dpl, dpm).isomorphism:
+            raise DomainError("map is not an isomorphism")
+        verdict = permutationp(orders(l), orders(m)) and verdict
+        p = first_prime(l)
+        l2, m2 = reduce_cyclic(l, p), reduce_cyclic(m, p)
+        if not l2 or not m2:
+            return verdict
+        iso, l, m = reduce_cyclic_iso(iso, l, m, p), l2, m2

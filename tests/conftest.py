@@ -79,16 +79,12 @@ def hom_check_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def factorization_calls(monkeypatch):
-    """A Counter of calls to cyclic_subgroup_list, cyclic_p_subgroup_list and
-    internal_direct_product_p, each counted under every name a grouptables
-    module binds the function to."""
+def count_calls(monkeypatch, targets):
+    """A Counter of calls to each (module, name) function in targets,
+    counted under every name a grouptables module binds the function to."""
     counts = Counter()
     targets = [(name, getattr(importlib.import_module("grouptables." + module), name))
-               for module, name in (("abelian", "cyclic_subgroup_list"),
-                                    ("pgroup", "cyclic_p_subgroup_list"),
-                                    ("products", "internal_direct_product_p"))]
+               for module, name in targets]
     modules = [m for n, m in list(sys.modules.items()) if n.startswith("grouptables.")]
     for name, fn in targets:
 
@@ -101,3 +97,18 @@ def factorization_calls(monkeypatch):
                 if value is fn:
                     monkeypatch.setattr(other, attr, counted)
     return counts
+
+
+@pytest.fixture
+def factorization_calls(monkeypatch):
+    """A Counter of calls to cyclic_subgroup_list, cyclic_p_subgroup_list and
+    internal_direct_product_p."""
+    return count_calls(monkeypatch, [("abelian", "cyclic_subgroup_list"),
+                                     ("pgroup", "cyclic_p_subgroup_list"),
+                                     ("products", "internal_direct_product_p")])
+
+
+@pytest.fixture
+def list_check_calls(monkeypatch):
+    """A Counter of calls to cyclic_p_group_list_p."""
+    return count_calls(monkeypatch, [("pgroup", "cyclic_p_group_list_p")])

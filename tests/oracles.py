@@ -3,8 +3,9 @@
 Nothing here calls the code paths under test: isomorphism search is raw
 backtracking over element bijections or generator images, arithmetic is
 naive trial division, subgroup enumeration is closure from below, the
-group axioms are compared on full n^3 cubes of products, and group files
-are read one character and one row at a time.
+group axioms are compared on full n^3 cubes of products, group files
+are read one character and one row at a time, and the uniqueness
+contraction map is composed from three maps rather than built in one pass.
 """
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ import numpy as np
 from grouptables.core import MAX_ORDER, abelianp, generated_subgroup, trivial_subgroup
 from grouptables.errors import DomainError, ResourceError
 from grouptables.fileformat import parse_elements, parse_numerals
-from grouptables.gmaps import GroupMap
+from grouptables.gmaps import GroupMap, compose_maps, map_from_function
+from grouptables.products import group_tuples
+from grouptables.uniqueness import delete_trivial, delete_trivial_elt, group_power_list
 
 
 def naive_gcd(m, n):
@@ -142,6 +145,27 @@ def parse_group_rows(text):
             raise DomainError(f"bad table row: {ln!r}")
         table.append(parse_numerals(row))
     return tuple(roster), tuple(table)
+
+
+def delete_trivial_iso(l):
+    """The tuple-contraction map dropping trivial-group components: an
+    isomorphism from direct_product(l) onto the product of the non-trivial
+    members; requires at least one non-trivial member.  The library's
+    former uniqueness.delete_trivial_iso."""
+    l = list(l)
+    if not delete_trivial(l):
+        raise DomainError("delete-trivial-iso needs a non-trivial member")
+    return map_from_function(group_tuples(l), lambda x: delete_trivial_elt(x, l))
+
+
+def composed_reduce_cyclic_iso(iso, l, m, p):
+    """The library's former uniqueness.reduce_cyclic_iso, built as a
+    composition: un-contracting on the l side (the swapped pairs of the
+    l-side contraction), then iso, then contracting on the m side."""
+    contract_l = delete_trivial_iso(group_power_list(p, l))
+    contract_m = delete_trivial_iso(group_power_list(p, m))
+    expand = GroupMap(tuple((y, x) for x, y in contract_l.pairs))
+    return compose_maps(contract_m, compose_maps(iso, expand))
 
 
 def all_subgroups(g):

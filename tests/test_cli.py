@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from grouptables.cli import build_factor_list, main
+from grouptables.cli import USAGE, build_factor_list, main
 from grouptables.errors import UsageError
 
 
@@ -123,6 +123,23 @@ def test_unique_swap_with_mapfile(tmp_path):
 def test_unique_missing_map_is_usage_error():
     code, _, _ = run_cli("unique", "zn", "4", "--", "dp", "zn", "2", "zn", "2")
     assert code == 2
+
+
+NOT_ABELIAN = "error: abelian-factorization needs an abelian group\n"
+
+
+@pytest.mark.parametrize("args, code, err", [
+    (["factor", "s", "3"], 1, NOT_ABELIAN),
+    (["factor", "s3.grp"], 1, NOT_ABELIAN),
+    (["unique", "dp", "zn", "2", "zn", "4", "--", "dp", "zn", "4", "zn", "2"], 2,
+     "error: a map file is required when the lists differ\n" + USAGE),
+], ids=["factor-builder", "factor-file", "unique-no-map"])
+def test_errors_go_to_stderr_only(args, code, err, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["cayley", "s", "3"]) == 0
+    (tmp_path / "s3.grp").write_text(capsys.readouterr().out)
+    assert main(args) == code
+    assert capsys.readouterr() == ("", err)
 
 
 def test_selftest():

@@ -1,7 +1,8 @@
 import importlib
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from grouptables.core import abelianp, cyclic_group, check_group
 from grouptables.errors import DomainError
@@ -9,7 +10,6 @@ from grouptables.gmaps import classify, homomorphism_check, identity_map, mapply
 from grouptables.products import direct_product, group_tuples
 from grouptables.uniqueness import (
     delete_trivial,
-    delete_trivial_iso,
     first_prime,
     group_power,
     group_power_dp_check,
@@ -26,7 +26,7 @@ from grouptables.uniqueness import (
 )
 from grouptables.gmaps import map_from_function
 
-from oracles import brute_force_isomorphism
+from oracles import brute_force_isomorphism, composed_reduce_cyclic_iso, delete_trivial_iso
 
 
 def zs(*ns):
@@ -221,14 +221,59 @@ class TestVerifyUniqueFactorization:
         uniqueness = importlib.import_module("grouptables.uniqueness")
         levels = []
 
-        def counted(l, m, iso):
+        def recorded(l):
             levels.append(orders(l))
-            return verify_unique_factorization(l, m, iso)
+            return direct_product(l)
 
-        monkeypatch.setattr(uniqueness, "verify_unique_factorization", counted)
+        def reentered(*args):
+            raise AssertionError("verify_unique_factorization called itself")
+
+        monkeypatch.setattr(uniqueness, "direct_product", recorded)
+        monkeypatch.setattr(uniqueness, "verify_unique_factorization", reentered)
         l, m = zs(2, 4, 3), zs(3, 4, 2)
         reverse = map_from_function(group_tuples(l), lambda x: x[::-1])
-        assert counted(l, m, reverse)
+        assert verify_unique_factorization(l, m, reverse)
         # Z2 x Z4 x Z3 -> Z2 x Z3 (p = 2) -> Z3 (p = 2) -> trivial (p = 3)
-        assert levels == [(2, 4, 3), (2, 3), (3,)]
+        assert levels[::2] == [(2, 4, 3), (2, 3), (3,)]
+        assert levels[1::2] == [(3, 4, 2), (3, 2), (3,)]
         assert hom_check_calls == [(24, 24), (6, 6), (3, 3)]
+
+    @pytest.mark.parametrize("ls, ms", [((2, 4, 3), (3, 4, 2)), ((8,), (8,)),
+                                        ((2, 2, 9), (9, 2, 2))])
+    def test_lists_checked_once(self, ls, ms, list_check_calls):
+        l, m = zs(*ls), zs(*ms)
+        iso = map_from_function(group_tuples(l), lambda x: x[::-1])
+        assert verify_unique_factorization(l, m, iso)
+        assert list_check_calls == {"cyclic_p_group_list_p": 2}
+
+
+# orders of cyclic p-groups; permuted_lists keeps their products at most 72
+P_ORDERS = (2, 4, 8, 3, 9, 5, 7)
+
+
+@st.composite
+def permuted_lists(draw):
+    """(l, m, iso): a cyclic p-group list, a random rearrangement of it and
+    the coordinate permutation between their direct products."""
+    ns = draw(st.lists(st.sampled_from(P_ORDERS), min_size=1, max_size=4)
+              .filter(lambda ns: math.prod(ns) <= 72))
+    sigma = draw(st.permutations(range(len(ns))))
+    l = zs(*ns)
+    m = [l[i] for i in sigma]
+    iso = map_from_function(group_tuples(l), lambda x: tuple(x[i] for i in sigma))
+    return l, m, iso
+
+
+class TestReduceCyclicIsoOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(permuted_lists())
+    def test_pairs_equal_composed_reference(self, case):
+        l, m, iso = case
+        while True:
+            p = first_prime(l)
+            l2, m2 = reduce_cyclic(l, p), reduce_cyclic(m, p)
+            if not l2 or not m2:
+                return
+            reduced = reduce_cyclic_iso(iso, l, m, p)
+            assert reduced.pairs == composed_reduce_cyclic_iso(iso, l, m, p).pairs
+            iso, l, m = reduced, l2, m2
