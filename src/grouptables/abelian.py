@@ -14,19 +14,18 @@ from dataclasses import dataclass
 from .core import abelianp, subgroup
 from .errors import DomainError
 from .gmaps import GroupMap, classify, homomorphism_check
-from .numtheory import divides, gcd_bezout, least_prime_divisor, max_power_dividing
+from .numtheory import gcd_bezout, least_prime_divisor, max_power_dividing
 from .pgroup import cyclic_p_subgroup_list
 from .products import direct_product, product_list_map
 
 
 def subgroup_ord_dividing(m, g):
-    """The subgroup of elements whose order divides m (abelian g only)."""
-    if not abelianp(g):
-        raise DomainError("subgroup-ord-dividing needs an abelian group")
+    """The subgroup of elements whose order divides m.  In an abelian g they
+    always form one; elsewhere subgroup() rejects them unless closed."""
     if m < 1:
         raise DomainError("m must be >= 1")
-    roster = tuple(x for x in g.roster if divides(g.element_order(x), m))
-    return subgroup(g, roster)
+    orders = g._orders.tolist()
+    return subgroup(g, tuple(x for x, k in zip(g.roster, orders) if m % k == 0))
 
 
 def rel_prime_split(g, m, n):

@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 
 from .abelian import abelian_factorization
-from .core import MAX_DEPTH, abelianp, check_group, cyclic_group, symmetric_group
+from .core import MAX_DEPTH, MAX_FILE_CHARS, abelianp, check_group, cyclic_group, symmetric_group
 from .errors import DomainError, ResourceError, UsageError
 from .fileformat import (
     format_element,
@@ -97,9 +97,13 @@ def build_factor_list(tokens):
 
 
 def _read(path):
-    """The text of a group or map file; both formats are UTF-8."""
+    """The text of a group or map file; both formats are UTF-8.  At most
+    one character past the guard is read."""
     with open(path, encoding="utf-8") as f:
-        return f.read()
+        text = f.read(MAX_FILE_CHARS + 1)
+    if len(text) > MAX_FILE_CHARS:
+        raise ResourceError(f"{path} exceeds the {MAX_FILE_CHARS}-character file guard")
+    return text
 
 
 def _group_from_args(args):

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, ResourceError
 
 MAX_ORDER = 256
+MAX_FILE_CHARS = 16 * 2**20  # characters read from a group or map file
 MAX_DEPTH = 32  # nesting levels of a parsed builder expression or element label
 
 

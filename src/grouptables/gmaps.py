@@ -55,10 +55,8 @@ def mapply(m, x):
 
 
 def map_from_function(domain, f):
-    """The map with the given domain sending each x to f(x)."""
-    domain = tuple(domain)
-    if len(set(domain)) != len(domain):
-        raise DomainError("map domain must be duplicate-free")
+    """The map with the given domain sending each x to f(x); a domain with
+    duplicates fails GroupMap's distinct-key check."""
     return GroupMap(tuple((x, f(x)) for x in domain))
 
 

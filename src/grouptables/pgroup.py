@@ -3,10 +3,10 @@ complement, then iterating to a full cyclic decomposition.
 
 The split works through the quotient by a small cyclic subgroup: pick a of
 maximal order, find an order-p coset in g/<a>, correct its representative by
-a power of a so that its p-th power is the identity, and recurse on the
-quotient by the resulting order-p cyclic subgroup, lifting the complement
-back up.  Arguments are checked at each public entry; the factor list is
-checked once, by `abelian_factorization`'s isomorphism check.
+a power of a so that its p-th power is the identity, and go on in the
+quotient by the resulting order-p cyclic subgroup until it is cyclic, lifting
+the last one back up.  Arguments are checked once, at each public entry; the
+factor list is checked once, by `abelian_factorization`'s isomorphism check.
 """
 from __future__ import annotations
 
@@ -56,20 +56,6 @@ def cyclic_p_group_list_p(l):
     return all(cyclic_p_group_p(g) for g in l)
 
 
-def _phyp_failure(a, p, g):
-    if not p_groupp(g, p):
-        return "not a p-group for p"
-    if not abelianp(g):
-        return "not abelian"
-    if cyclicp(g):
-        return "group is cyclic"
-    if a not in g:
-        return "a is not an element"
-    if g.element_order(a) != max_ord(g):
-        return "a does not have maximal order"
-    return None
-
-
 @dataclass(frozen=True)
 class SplitData:
     """Witness data for one splitting step.
@@ -87,38 +73,51 @@ class SplitData:
 
 
 def split_witness(a, p, g):
-    failure = _phyp_failure(a, p, g)
-    if failure is not None:
-        raise DomainError(f"split preconditions unmet: {failure}")
-    g1 = cyclic(a, g)
-    q = quotient(g, g1)
-    xcoset = elt_of_ord(p, q)
+    if not p_groupp(g, p):
+        failure = "not a p-group for p"
+    elif not abelianp(g):
+        failure = "not abelian"
+    elif cyclicp(g):
+        failure = "group is cyclic"
+    elif a not in g:
+        failure = "a is not an element"
+    elif g.element_order(a) != max_ord(g):
+        failure = "a does not have maximal order"
+    else:
+        return _split(a, p, g)
+    raise DomainError(f"split preconditions unmet: {failure}")
+
+
+def _split(a, p, g):
+    """split_witness without its checks."""
     # Cauchy guarantees an order-p element in the quotient, whose order p^k/|a| > 1
-    x = xcoset[0]
-    pows = powers(g, a)
-    xp = g.power(x, p)
-    i = pows.index(xp)
+    x = elt_of_ord(p, quotient(g, cyclic(a, g)))[0]
+    i = powers(g, a).index(g.power(x, p))
     if i % p != 0:
         raise DomainError("internal inconsistency: i not divisible by p")
     j = i // p
     y = g.op(g.power(g.inv(a), j), x)
-    c = cyclic(y, g)
-    return SplitData(a=a, x=x, i=i, j=j, y=y, c=c)
+    return SplitData(a=a, x=x, i=i, j=j, y=y, c=cyclic(y, g))
 
 
 def complement_subgroup(a, p, g):
     """A subgroup g2 with <a> * g2 = g and <a> meeting g2 trivially.
 
-    Recursive: split off an order-p cyclic subgroup c; if g/c is cyclic,
-    g2 = c, otherwise lift the complement found in g/c back through c.
+    Split off an order-p cyclic subgroup c and go on in g/c with a's coset
+    until g/c is cyclic; g2 is the last c, lifted back level by level.  Only
+    the first level is checked: g/c is again an abelian p-group, and a's
+    coset keeps maximal order as c meets <a> trivially.
     """
     sd = split_witness(a, p, g)
-    gstar = quotient(g, sd.c)
-    if cyclicp(gstar):
-        return sd.c
-    astar = lcoset(a, sd.c, g)
-    rec = complement_subgroup(astar, p, gstar)
-    return lift(rec, sd.c, g)
+    levels = []
+    while not cyclicp(gstar := quotient(g, sd.c)):
+        levels.append((sd.c, g))
+        a, g = lcoset(a, sd.c, g), gstar
+        sd = _split(a, p, g)
+    g2 = sd.c
+    for c, g in reversed(levels):
+        g2 = lift(g2, c, g)
+    return g2
 
 
 def desired_properties_check(g, g1, g2):

@@ -7,7 +7,9 @@ on the contracted lists forces the order multisets to agree.
 
 The lists are checked once, at entry: a p-th power of a cyclic p-group is
 again one or is trivial and dropped, so no later level can fail that check.
-The map is checked at every level, as it is the certificate.
+The map is checked at every level, as it is the certificate.  Each level
+builds the p-th power list of each side once, for both the contracted lists
+and the transported map.
 """
 from __future__ import annotations
 
@@ -118,8 +120,9 @@ def delete_trivial_elt(x, l):
     return tuple(c for c, g in zip(x, l) if g.order > 1)
 
 
-def reduce_cyclic_iso(iso, l, m, p):
-    """Transport an isomorphism dp(l) -> dp(m) to the contracted products.
+def reduce_cyclic_iso(iso, pl, pm):
+    """Transport an isomorphism dp(l) -> dp(m) to the contracted products,
+    given the p-th power lists pl and pm of l and m.
 
     The restriction of iso to the p-th power subgroup (legitimate because
     isomorphic abelian groups have isomorphic n-th powers), with the
@@ -127,7 +130,6 @@ def reduce_cyclic_iso(iso, l, m, p):
     check rejects a contraction that is not injective; the map itself is
     checked in full by the next level of verify_unique_factorization.
     """
-    pl, pm = group_power_list(p, l), group_power_list(p, m)
     return GroupMap(tuple(
         (delete_trivial_elt(x, pl), delete_trivial_elt(iso.apply(x), pm))
         for x in group_tuples(pl)
@@ -157,7 +159,8 @@ def verify_unique_factorization(l, m, iso):
             raise DomainError("map is not an isomorphism")
         verdict = permutationp(orders(l), orders(m)) and verdict
         p = first_prime(l)
-        l2, m2 = reduce_cyclic(l, p), reduce_cyclic(m, p)
-        if not l2 or not m2:
+        pl, pm = group_power_list(p, l), group_power_list(p, m)
+        l, m = delete_trivial(pl), delete_trivial(pm)
+        if not l or not m:
             return verdict
-        iso, l, m = reduce_cyclic_iso(iso, l, m, p), l2, m2
+        iso = reduce_cyclic_iso(iso, pl, pm)

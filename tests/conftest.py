@@ -112,3 +112,17 @@ def factorization_calls(monkeypatch):
 def list_check_calls(monkeypatch):
     """A Counter of calls to cyclic_p_group_list_p."""
     return count_calls(monkeypatch, [("pgroup", "cyclic_p_group_list_p")])
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """A Counter of calls to complement_subgroup and split_witness, the
+    split with its precondition check."""
+    return count_calls(monkeypatch, [("pgroup", "complement_subgroup"),
+                                     ("pgroup", "split_witness")])
+
+
+@pytest.fixture
+def power_calls(monkeypatch):
+    """A Counter of calls to group_power."""
+    return count_calls(monkeypatch, [("uniqueness", "group_power")])

@@ -4,8 +4,9 @@ Nothing here calls the code paths under test: isomorphism search is raw
 backtracking over element bijections or generator images, arithmetic is
 naive trial division, subgroup enumeration is closure from below, the
 group axioms are compared on full n^3 cubes of products, group files
-are read one character and one row at a time, and the uniqueness
-contraction map is composed from three maps rather than built in one pass.
+are read one character and one row at a time, the uniqueness
+contraction map is composed from three maps rather than built in one pass,
+and the p-group complement recurses with every level checked.
 """
 from __future__ import annotations
 
@@ -13,10 +14,19 @@ from itertools import permutations
 
 import numpy as np
 
-from grouptables.core import MAX_ORDER, abelianp, generated_subgroup, trivial_subgroup
+from grouptables.core import (
+    MAX_ORDER,
+    abelianp,
+    generated_subgroup,
+    lcoset,
+    lift,
+    quotient,
+    trivial_subgroup,
+)
 from grouptables.errors import DomainError, ResourceError
 from grouptables.fileformat import parse_elements, parse_numerals
 from grouptables.gmaps import GroupMap, compose_maps, map_from_function
+from grouptables.pgroup import cyclicp, split_witness
 from grouptables.products import group_tuples
 from grouptables.uniqueness import delete_trivial, delete_trivial_elt, group_power_list
 
@@ -166,6 +176,20 @@ def composed_reduce_cyclic_iso(iso, l, m, p):
     contract_m = delete_trivial_iso(group_power_list(p, m))
     expand = GroupMap(tuple((y, x) for x, y in contract_l.pairs))
     return compose_maps(contract_m, compose_maps(iso, expand))
+
+
+def recursive_complement_subgroup(a, p, g):
+    """The library's former pgroup.complement_subgroup: split off an
+    order-p cyclic subgroup c, with the split's preconditions checked at
+    every level; if g/c is cyclic the complement is c, otherwise the
+    complement of a's coset in g/c, found by recursion, lifted back
+    through c."""
+    sd = split_witness(a, p, g)
+    gstar = quotient(g, sd.c)
+    if cyclicp(gstar):
+        return sd.c
+    rec = recursive_complement_subgroup(lcoset(a, sd.c, g), p, gstar)
+    return lift(rec, sd.c, g)
 
 
 def all_subgroups(g):

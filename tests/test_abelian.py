@@ -56,6 +56,13 @@ class TestRelPrimeSplit:
         h, k = rel_prime_split(z6, 6, 1)
         assert h.order == 6 and k.order == 1
 
+    def test_non_abelian_split_where_closed(self, s3):
+        # the order-6 and order-5 element sets of S3 x Z5 are closed
+        h, k = rel_prime_split(direct_product([s3, cyclic_group(5)]), 6, 5)
+        assert (h.order, k.order) == (6, 5)
+        with pytest.raises(DomainError):
+            subgroup_ord_dividing(2, s3)
+
     def test_non_coprime_rejected(self, z4):
         with pytest.raises(DomainError):
             rel_prime_split(z4, 2, 2)

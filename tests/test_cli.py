@@ -4,7 +4,9 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from grouptables import cli
 from grouptables.cli import USAGE, build_factor_list, main
+from grouptables.core import MAX_FILE_CHARS
 from grouptables.errors import UsageError
 
 
@@ -194,6 +196,26 @@ def test_oversized_group_file(capsys, tmp_path):
     f.write_text("group 257\n")
     assert main(["validate", str(f)]) == 1
     assert capsys.readouterr().err == "error: group file order 257 exceeds the 256 guard\n"
+
+
+@pytest.mark.parametrize("verb", ["validate", "factor", "iso"])
+def test_file_size_guard(verb, capsys, tmp_path, monkeypatch):
+    g, m = tmp_path / "g.grp", tmp_path / "m.map"
+    g.write_text("group 2\n0 1\n0 1\n1 0\n")
+    m.write_text("0 -> 0\n1 -> 1\n" + "\n" * 8)  # longer than the group file
+    args, big = ([verb, str(g), str(g), str(m)], m) if verb == "iso" else ([verb, str(g)], g)
+    size = len(big.read_text())
+    monkeypatch.setattr(cli, "MAX_FILE_CHARS", size)
+    assert main(args) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_FILE_CHARS", size - 1)
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {big} exceeds the {size - 1}-character file guard\n"
+
+
+def test_file_size_guard_far_above_cayley_files(capsys):
+    assert main(["cayley", "dp"] + ["zn", "2"] * 8) == 0
+    assert 50 * len(capsys.readouterr().out) < MAX_FILE_CHARS
 
 
 @pytest.mark.parametrize("verb, nargs", [("validate", 1), ("factor", 1), ("iso", 3)])

@@ -2,6 +2,7 @@ import pytest
 
 from grouptables.core import cyclic, cyclic_group, elt_of_ord, group_intersection
 from grouptables.errors import DomainError
+from grouptables.numtheory import least_prime_divisor
 from grouptables.pgroup import (
     complement_subgroup,
     cyclic_p_group_list_p,
@@ -18,6 +19,9 @@ from grouptables.products import (
     internal_direct_product_p,
     product_orders,
 )
+
+from conftest import dp_cyclic_corpus
+from oracles import recursive_complement_subgroup
 
 
 def dp(*ns):
@@ -99,6 +103,30 @@ class TestComplement:
         sd = split_witness(a, 2, g)
         g2 = complement_subgroup(a, 2, g)
         assert g2 == sd.c  # quotient of order 2 is cyclic
+
+
+class TestComplementOracle:
+    def test_loop_equals_recursive_reference(self):
+        """Exact equality, roster order included, over every non-cyclic
+        abelian p-group of order <= 64 and every a of maximal order."""
+        groups = checked = 0
+        for _, g in dp_cyclic_corpus(64):
+            p = least_prime_divisor(g.order)
+            if not p_groupp(g, p) or cyclicp(g):
+                continue
+            groups += 1
+            for a in g.roster:
+                if g.element_order(a) == max_ord(g):
+                    assert complement_subgroup(a, p, g) == recursive_complement_subgroup(a, p, g)
+                    checked += 1
+        assert groups == 28 and checked > groups
+
+    @pytest.mark.parametrize("p, ns", [(2, (2, 2, 2, 2)), (2, (2, 4, 8)), (3, (3, 3, 9))])
+    def test_split_checked_once_per_complement(self, p, ns, split_calls):
+        fact = cyclic_p_subgroup_list(p, dp(*ns))
+        assert sorted(fact.orders) == sorted(ns)
+        calls = len(ns) - 1  # one complement per factor but the last
+        assert split_calls == {"complement_subgroup": calls, "split_witness": calls}
 
 
 class TestDesiredPropertiesCheck:

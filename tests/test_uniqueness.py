@@ -178,7 +178,7 @@ class TestReduceCyclicIso:
     def test_swap_case(self):
         l, m = zs(2, 4), zs(4, 2)
         swap = map_from_function(group_tuples(l), lambda x: (x[1], x[0]))
-        r = reduce_cyclic_iso(swap, l, m, 2)
+        r = reduce_cyclic_iso(swap, group_power_list(2, l), group_power_list(2, m))
         l2, m2 = reduce_cyclic(l, 2), reduce_cyclic(m, 2)
         src, dst = direct_product(list(l2)), direct_product(list(m2))
         assert homomorphism_check(r, src, dst) is None
@@ -246,6 +246,13 @@ class TestVerifyUniqueFactorization:
         assert verify_unique_factorization(l, m, iso)
         assert list_check_calls == {"cyclic_p_group_list_p": 2}
 
+    def test_power_lists_built_once_per_level(self, power_calls):
+        l, m = zs(2, 4, 8), zs(8, 2, 4)
+        iso = map_from_function(group_tuples(l), lambda x: (x[2], x[0], x[1]))
+        assert verify_unique_factorization(l, m, iso)
+        # (2, 4, 8) -> (2, 4) -> (2,) -> trivial: 6 + 4 + 2 power subgroups
+        assert power_calls == {"group_power": 12}
+
 
 # orders of cyclic p-groups; permuted_lists keeps their products at most 72
 P_ORDERS = (2, 4, 8, 3, 9, 5, 7)
@@ -274,6 +281,6 @@ class TestReduceCyclicIsoOracle:
             l2, m2 = reduce_cyclic(l, p), reduce_cyclic(m, p)
             if not l2 or not m2:
                 return
-            reduced = reduce_cyclic_iso(iso, l, m, p)
+            reduced = reduce_cyclic_iso(iso, group_power_list(p, l), group_power_list(p, m))
             assert reduced.pairs == composed_reduce_cyclic_iso(iso, l, m, p).pairs
             iso, l, m = reduced, l2, m2
