@@ -25,14 +25,12 @@ from .errors import DomainError, ResourceError
 from .gmaps import (
     GroupMap,
     classify,
-    compose_maps,
     homomorphism_check,
     identity_map,
     image,
     inv_isomorphism,
     kernel,
     map_from_function,
-    mapply,
 )
 from .products import (
     direct_product,
@@ -41,7 +39,6 @@ from .products import (
     product_group,
     product_list_map,
     product_orders,
-    products,
 )
 from .pgroup import (
     PFactorization,
@@ -59,12 +56,13 @@ from .abelian import (
 )
 from .uniqueness import (
     group_power,
-    hits,
     hits_diff,
     orders,
     permutationp,
-    reduce_cyclic,
     verify_unique_factorization,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# functions and classes only: the submodules bound by these imports stay
+# reachable as attributes, not as exported names
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and callable(value)]

@@ -39,15 +39,6 @@ def rel_prime_split(g, m, n):
     return subgroup_ord_dividing(m, g), subgroup_ord_dividing(n, g)
 
 
-def bezout_decomposition(g, x, m, n):
-    """Write x = h_part * k_part with the parts of order dividing m and n.
-
-    Uses r*n + s*m = 1; negative coefficients go through the inverse.
-    """
-    _, r, s = gcd_bezout(m, n)
-    return g.power(x, r * n), g.power(x, s * m)
-
-
 def cyclic_subgroup_list(g):
     """The full list of cyclic p-subgroups factoring an abelian g.
 

@@ -297,30 +297,6 @@ def subgroupp(h, g):
 # element-level machinery
 
 
-def ordp(l, g):
-    """True iff l is ordered ascending by g-roster index."""
-    idx = [g.index(x) for x in l]
-    return all(a < b for a, b in zip(idx, idx[1:]))
-
-
-def ord_insert(x, l, g):
-    """Insert x into the g-ordered duplicate-free sequence l."""
-    i = g.index(x)
-    out = []
-    placed = False
-    for y in l:
-        j = g.index(y)
-        if j == i:
-            return tuple(l)
-        if j > i and not placed:
-            out.append(x)
-            placed = True
-        out.append(y)
-    if not placed:
-        out.append(x)
-    return tuple(out)
-
-
 def powers(g, a):
     """[e, a, a^2, ...] up to (but excluding) the first repeat of e."""
     i, out = g.index(a), [0]
@@ -433,22 +409,6 @@ def group_intersection(h, k, g):
     """The subgroup on the g-ordered common roster of h and k."""
     hset, kset = set(h.roster), set(k.roster)
     roster = tuple(x for x in g.roster if x in hset and x in kset)
-    return subgroup(g, roster)
-
-
-def generated_subgroup(g, gens):
-    """Closure of gens under the operation, as a g-ordered subgroup."""
-    elems = {g.identity}
-    frontier = [g.identity]
-    gens = list(gens)
-    while frontier:
-        x = frontier.pop()
-        for a in gens:
-            y = g.op(x, a)
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
-    roster = tuple(x for x in g.roster if x in elems)
     return subgroup(g, roster)
 
 

@@ -129,13 +129,35 @@ def _index_array(rows, n):
     return t.reshape(n, n)
 
 
+# the line boundaries of str.splitlines
+_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _non_blank_lines(text, keep, chunk=1 << 16):
+    """(the first `keep` non-blank lines of text, the number of them all).
+
+    Lines are those of str.splitlines and blank is str.strip's test, but the
+    text is split a chunk at a time, each ending just after a line break, so
+    an over-long file costs one chunk's lines, not a list of all of them.
+    """
+    lines, count, start = [], 0, 0
+    while start < len(text):
+        cut = _BREAK.search(text, start + chunk)
+        stop = cut.end() if cut else len(text)
+        part = [ln for ln in text[start:stop].splitlines() if ln.strip()]
+        lines += part[:keep - len(lines)]
+        count += len(part)
+        start = stop
+    return lines, count
+
+
 def parse_group(text):
     """Parse a group file into (roster, table) without validating axioms.
 
     The table is an n x n int64 array when the rows are plain (see
     _index_array), and a tuple of row tuples of ints otherwise.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines, count = _non_blank_lines(text, MAX_ORDER + 2)
     if not lines:
         raise DomainError("empty group file")
     head = lines[0].split()
@@ -144,8 +166,8 @@ def parse_group(text):
     n = parse_numerals([head[1]])[0]
     if n > MAX_ORDER:
         raise ResourceError(f"group file order {n} exceeds the {MAX_ORDER} guard")
-    if len(lines) != n + 2:
-        raise DomainError(f"expected {n + 2} lines, got {len(lines)}")
+    if count != n + 2:
+        raise DomainError(f"expected {n + 2} lines, got {count}")
     roster = parse_elements(lines[1])
     if len(roster) != n:
         raise DomainError(f"expected {n} labels, got {len(roster)}")

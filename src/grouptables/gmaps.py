@@ -50,10 +50,6 @@ class GroupMap:
         return f"GroupMap(domain size {len(self.pairs)})"
 
 
-def mapply(m, x):
-    return m.apply(x)
-
-
 def map_from_function(domain, f):
     """The map with the given domain sending each x to f(x); a domain with
     duplicates fails GroupMap's distinct-key check."""
@@ -62,17 +58,6 @@ def map_from_function(domain, f):
 
 def identity_map(domain):
     return map_from_function(domain, lambda x: x)
-
-
-def compose_maps(m2, m1):
-    """m2 after m1, on the domain of m1."""
-    pairs = []
-    for x in m1.domain:
-        y = m1.apply(x)
-        if y not in m2._table:
-            raise DomainError(f"composition escapes the outer domain at {y!r}")
-        pairs.append((x, m2.apply(y)))
-    return GroupMap(tuple(pairs))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exact integer prerequisites: divisibility, Bezout gcd, primes, prime powers.
+"""Exact integer prerequisites: Bezout gcd, primes, prime powers.
 
 All inputs are guarded to the range [0, 2^31]; group orders at desk scale
 never come close, and the guard catches runaway direct-product orders.
@@ -18,13 +18,6 @@ def check_nat(n, name="n", minimum=0):
     if n > MAX_NAT:
         raise DomainError(f"{name} exceeds the 2^31 guard: {n}")
     return n
-
-
-def divides(d, n):
-    """True iff d divides n exactly. d must be positive."""
-    check_nat(d, "d", minimum=1)
-    check_nat(n, "n")
-    return n % d == 0
 
 
 def gcd_bezout(m, n):
@@ -49,16 +42,8 @@ def gcd_bezout(m, n):
 
 
 def primep(p):
-    """Primality by trial division; exact and fast at desk scale."""
-    check_nat(p, "p")
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    """Primality: p >= 2 is its own least prime divisor."""
+    return check_nat(p, "p") >= 2 and least_prime_divisor(p) == p
 
 
 def least_prime_divisor(n):
@@ -73,12 +58,7 @@ def least_prime_divisor(n):
 
 def powerp(n, p):
     """True iff n is a power of the prime p (n = 1 counts as p^0)."""
-    check_nat(n, "n", minimum=1)
-    if not primep(p):
-        raise DomainError(f"p must be prime, got {p}")
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return max_power_dividing(p, n) == n
 
 
 def max_power_dividing(p, n):

@@ -17,12 +17,10 @@ from .core import (
     abelianp,
     cyclic,
     elt_of_ord,
-    group_intersection,
     lcoset,
     lift,
     powers,
     quotient,
-    subgroupp,
 )
 from .errors import DomainError
 from .numtheory import least_prime_divisor, powerp, primep
@@ -118,21 +116,6 @@ def complement_subgroup(a, p, g):
     for c, g in reversed(levels):
         g2 = lift(g2, c, g)
     return g2
-
-
-def desired_properties_check(g, g1, g2):
-    """(ok, first failing conjunct or None) for the splitting contract."""
-    if not subgroupp(g1, g):
-        return False, "g1 not a subgroup"
-    if not cyclicp(g1):
-        return False, "g1 not cyclic"
-    if not subgroupp(g2, g):
-        return False, "g2 not a subgroup"
-    if g1.order * g2.order != g.order:
-        return False, "orders do not multiply to |g|"
-    if group_intersection(g1, g2, g).roster != (g.identity,):
-        return False, "g1 and g2 intersect non-trivially"
-    return True, None
 
 
 @dataclass(frozen=True)

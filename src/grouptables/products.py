@@ -11,8 +11,6 @@ from .core import (
     FiniteGroup,
     MAX_ORDER,
     group_intersection,
-    lcoset,
-    lcosets,
     normalp,
     subgroup,
     subgroupp,
@@ -63,23 +61,6 @@ def direct_product(l):
     return FiniteGroup(group_tuples(l), table)
 
 
-def dp_index_compare(l, x, y):
-    """True iff x precedes y in the direct-product roster.
-
-    Equivalent to the positional comparison: the first-component index is
-    smaller, or the first components are equal and the tails compare.
-    """
-    l = list(l)
-    if not l:
-        raise DomainError("empty group list")
-    i, j = l[0].index(x[0]), l[0].index(y[0])
-    if i != j:
-        return i < j
-    if len(l) == 1:
-        return False
-    return dp_index_compare(l[1:], x[1:], y[1:])
-
-
 def products(h, k, g):
     """All pairwise products op(a, b) for a in h, b in k, ordered by g."""
     if not (subgroupp(h, g) and subgroupp(k, g)):
@@ -96,28 +77,6 @@ def product_group(h, k, g):
     if not (normalp(h, g) or normalp(k, g)):
         raise DomainError("product-group requires h or k normal in g")
     return subgroup(g, products(h, k, g))
-
-
-def lift_cosets(h, k, g):
-    """One k-coset per (h intersect k)-coset of h.
-
-    The concatenation is duplicate-free, has length |h|*|k|/|h^k|, and
-    equals products(h, k, g) as a set.  This exists to make the counting
-    argument behind len-products executable; callers wanting the product
-    set itself should use products().
-    """
-    if not (subgroupp(h, g) and subgroupp(k, g)):
-        raise DomainError("lift-cosets requires subgroups of g")
-    i = group_intersection(h, k, g)
-    isub = subgroup(h, tuple(x for x in h.roster if x in i))
-    return tuple(lcoset(c[0], k, g) for c in lcosets(isub, h))
-
-
-def product_group_list(l, g):
-    """Right fold of product_group over l; empty list gives the trivial subgroup."""
-    if not l:
-        return trivial_subgroup(g)
-    return product_group(l[0], product_group_list(l[1:], g), g)
 
 
 def internal_direct_product_p(l, g):
@@ -137,25 +96,6 @@ def internal_direct_product_p(l, g):
         if i:  # l[0] is scanned last; nothing reads its product
             rest = product_group(h, rest, g)
     return True
-
-
-def internal_direct_product_append(l, m, g):
-    """Append two internal direct products whose generated subgroups meet trivially.
-
-    Returns the combined list; any failed premise is a DomainError.
-    """
-    if not internal_direct_product_p(l, g):
-        raise DomainError("l is not an internal direct product in g")
-    if not internal_direct_product_p(m, g):
-        raise DomainError("m is not an internal direct product in g")
-    pl = product_group_list(list(l), g)
-    pm = product_group_list(list(m), g)
-    if group_intersection(pl, pm, g).roster != (g.identity,):
-        raise DomainError("generated subgroups intersect non-trivially")
-    combined = tuple(l) + tuple(m)
-    if not internal_direct_product_p(combined, g):
-        raise DomainError("append is not an internal direct product")
-    return combined
 
 
 def product_list_map(l, g):

@@ -20,18 +20,13 @@ import numpy as np
 from .core import abelianp, subgroup
 from .errors import DomainError
 from .gmaps import GroupMap, classify, homomorphism_check
-from .numtheory import divides, least_prime_divisor, primep
+from .numtheory import least_prime_divisor
 from .pgroup import cyclic_p_group_list_p
 from .products import direct_product, group_tuples
 
 
 # ---------------------------------------------------------------------------
 # multisets
-
-
-def hits(x, l):
-    """Number of occurrences of x in l."""
-    return sum(1 for y in l if y == x)
 
 
 def permutationp(l, m):
@@ -74,25 +69,8 @@ def group_power(n, g):
     return subgroup(g, tuple(g.roster[i] for i in np.flatnonzero(hit)))
 
 
-def reduce_order(n, p):
-    return n // p if divides(p, n) else n
-
-
-def reduce_orders(orders_, p):
-    return tuple(reduce_order(n, p) for n in orders_)
-
-
 def group_power_list(n, l):
     return tuple(group_power(n, g) for g in l)
-
-
-def group_power_dp_check(n, l):
-    """Exact equality (roster and table) of the power of a product and the
-    product of the powers."""
-    l = list(l)
-    return group_power(n, direct_product(l)) == direct_product(
-        list(group_power_list(n, l))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +85,6 @@ def first_prime(l):
 
 def delete_trivial(l):
     return tuple(g for g in l if g.order > 1)
-
-
-def reduce_cyclic(l, p):
-    """p-th powers of every member, with collapsed (order-1) members dropped."""
-    if not primep(p):
-        raise DomainError(f"p must be prime, got {p}")
-    return delete_trivial(group_power_list(p, l))
 
 
 def delete_trivial_elt(x, l):

@@ -1,0 +1,199 @@
+"""The paper's lemmas, kept as executable checks.
+
+The ACL2 development states its proof steps as functions: divisibility and
+the Bezout split of an element, the element orderings of a roster, the
+splitting contract of a p-group, the counting argument behind the size of a
+product of subgroups, the appending of internal direct products, the power
+of a direct product, and the order reduction of the uniqueness contraction.
+No CLI verb, selftest or script calls them, so they live here, beside the
+tests that check them, with the bodies they had in the library.
+"""
+from __future__ import annotations
+
+from grouptables.core import (
+    group_intersection,
+    lcoset,
+    lcosets,
+    subgroup,
+    subgroupp,
+    trivial_subgroup,
+)
+from grouptables.errors import DomainError
+from grouptables.numtheory import check_nat, gcd_bezout, primep
+from grouptables.pgroup import cyclicp
+from grouptables.products import direct_product, internal_direct_product_p, product_group
+from grouptables.uniqueness import delete_trivial, group_power, group_power_list
+
+
+# ---------------------------------------------------------------------------
+# numtheory
+
+
+def divides(d, n):
+    """True iff d divides n exactly. d must be positive."""
+    check_nat(d, "d", minimum=1)
+    check_nat(n, "n")
+    return n % d == 0
+
+
+# ---------------------------------------------------------------------------
+# core: element orderings
+
+
+def ordp(l, g):
+    """True iff l is ordered ascending by g-roster index."""
+    idx = [g.index(x) for x in l]
+    return all(a < b for a, b in zip(idx, idx[1:]))
+
+
+def ord_insert(x, l, g):
+    """Insert x into the g-ordered duplicate-free sequence l."""
+    i = g.index(x)
+    out = []
+    placed = False
+    for y in l:
+        j = g.index(y)
+        if j == i:
+            return tuple(l)
+        if j > i and not placed:
+            out.append(x)
+            placed = True
+        out.append(y)
+    if not placed:
+        out.append(x)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# gmaps
+
+
+def mapply(m, x):
+    return m.apply(x)
+
+
+# ---------------------------------------------------------------------------
+# abelian
+
+
+def bezout_decomposition(g, x, m, n):
+    """Write x = h_part * k_part with the parts of order dividing m and n.
+
+    Uses r*n + s*m = 1; negative coefficients go through the inverse.
+    """
+    _, r, s = gcd_bezout(m, n)
+    return g.power(x, r * n), g.power(x, s * m)
+
+
+# ---------------------------------------------------------------------------
+# pgroup: the splitting contract
+
+
+def desired_properties_check(g, g1, g2):
+    """(ok, first failing conjunct or None) for the splitting contract."""
+    if not subgroupp(g1, g):
+        return False, "g1 not a subgroup"
+    if not cyclicp(g1):
+        return False, "g1 not cyclic"
+    if not subgroupp(g2, g):
+        return False, "g2 not a subgroup"
+    if g1.order * g2.order != g.order:
+        return False, "orders do not multiply to |g|"
+    if group_intersection(g1, g2, g).roster != (g.identity,):
+        return False, "g1 and g2 intersect non-trivially"
+    return True, None
+
+
+# ---------------------------------------------------------------------------
+# products
+
+
+def dp_index_compare(l, x, y):
+    """True iff x precedes y in the direct-product roster.
+
+    Equivalent to the positional comparison: the first-component index is
+    smaller, or the first components are equal and the tails compare.
+    """
+    l = list(l)
+    if not l:
+        raise DomainError("empty group list")
+    i, j = l[0].index(x[0]), l[0].index(y[0])
+    if i != j:
+        return i < j
+    if len(l) == 1:
+        return False
+    return dp_index_compare(l[1:], x[1:], y[1:])
+
+
+def lift_cosets(h, k, g):
+    """One k-coset per (h intersect k)-coset of h.
+
+    The concatenation is duplicate-free, has length |h|*|k|/|h^k|, and
+    equals products(h, k, g) as a set.  This exists to make the counting
+    argument behind len-products executable; callers wanting the product
+    set itself should use products().
+    """
+    if not (subgroupp(h, g) and subgroupp(k, g)):
+        raise DomainError("lift-cosets requires subgroups of g")
+    i = group_intersection(h, k, g)
+    isub = subgroup(h, tuple(x for x in h.roster if x in i))
+    return tuple(lcoset(c[0], k, g) for c in lcosets(isub, h))
+
+
+def product_group_list(l, g):
+    """Right fold of product_group over l; empty list gives the trivial subgroup."""
+    if not l:
+        return trivial_subgroup(g)
+    return product_group(l[0], product_group_list(l[1:], g), g)
+
+
+def internal_direct_product_append(l, m, g):
+    """Append two internal direct products whose generated subgroups meet trivially.
+
+    Returns the combined list; any failed premise is a DomainError.
+    """
+    if not internal_direct_product_p(l, g):
+        raise DomainError("l is not an internal direct product in g")
+    if not internal_direct_product_p(m, g):
+        raise DomainError("m is not an internal direct product in g")
+    pl = product_group_list(list(l), g)
+    pm = product_group_list(list(m), g)
+    if group_intersection(pl, pm, g).roster != (g.identity,):
+        raise DomainError("generated subgroups intersect non-trivially")
+    combined = tuple(l) + tuple(m)
+    if not internal_direct_product_p(combined, g):
+        raise DomainError("append is not an internal direct product")
+    return combined
+
+
+# ---------------------------------------------------------------------------
+# uniqueness
+
+
+def hits(x, l):
+    """Number of occurrences of x in l."""
+    return sum(1 for y in l if y == x)
+
+
+def reduce_order(n, p):
+    return n // p if divides(p, n) else n
+
+
+def reduce_orders(orders_, p):
+    return tuple(reduce_order(n, p) for n in orders_)
+
+
+def group_power_dp_check(n, l):
+    """Exact equality (roster and table) of the power of a product and the
+    product of the powers."""
+    l = list(l)
+    return group_power(n, direct_product(l)) == direct_product(
+        list(group_power_list(n, l))
+    )
+
+
+def reduce_cyclic(l, p):
+    """p-th powers of every member, with collapsed (order-1) members dropped."""
+    if not primep(p):
+        raise DomainError(f"p must be prime, got {p}")
+    return delete_trivial(group_power_list(p, l))

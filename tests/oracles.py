@@ -1,12 +1,19 @@
 """Independent oracles used to check the library against brute force.
 
-Nothing here calls the code paths under test: isomorphism search is raw
-backtracking over element bijections or generator images, arithmetic is
-naive trial division, subgroup enumeration is closure from below, the
-group axioms are compared on full n^3 cubes of products, group files
-are read one character and one row at a time, the uniqueness
+Isomorphism search is raw backtracking over element bijections or generator
+images, arithmetic is naive trial division, subgroup enumeration is closure
+from below, the group axioms are compared on full n^3 cubes of products,
+group files are read one character and one row at a time, the uniqueness
 contraction map is composed from three maps rather than built in one pass,
 and the p-group complement recurses with every level checked.
+
+They are not yet free of the code under test: they build on the library's
+`abelianp`, `lcoset`, `lift`, `quotient`, `subgroup`, `trivial_subgroup`,
+`split_witness`, `cyclicp`, `group_power_list`, `delete_trivial`,
+`delete_trivial_elt`, `group_tuples`, `map_from_function`, `GroupMap`,
+`parse_elements` and `parse_numerals`, and on `FiniteGroup`'s `op`, `power`
+and `element_order`.  Replacing them with plain-list arithmetic is an open
+item on ROADMAP.md.
 """
 from __future__ import annotations
 
@@ -17,15 +24,15 @@ import numpy as np
 from grouptables.core import (
     MAX_ORDER,
     abelianp,
-    generated_subgroup,
     lcoset,
     lift,
     quotient,
+    subgroup,
     trivial_subgroup,
 )
 from grouptables.errors import DomainError, ResourceError
 from grouptables.fileformat import parse_elements, parse_numerals
-from grouptables.gmaps import GroupMap, compose_maps, map_from_function
+from grouptables.gmaps import GroupMap, map_from_function
 from grouptables.pgroup import cyclicp, split_witness
 from grouptables.products import group_tuples
 from grouptables.uniqueness import delete_trivial, delete_trivial_elt, group_power_list
@@ -168,6 +175,17 @@ def delete_trivial_iso(l):
     return map_from_function(group_tuples(l), lambda x: delete_trivial_elt(x, l))
 
 
+def compose_maps(m2, m1):
+    """m2 after m1, on the domain of m1."""
+    pairs = []
+    for x in m1.domain:
+        y = m1.apply(x)
+        if y not in m2._table:
+            raise DomainError(f"composition escapes the outer domain at {y!r}")
+        pairs.append((x, m2.apply(y)))
+    return GroupMap(tuple(pairs))
+
+
 def composed_reduce_cyclic_iso(iso, l, m, p):
     """The library's former uniqueness.reduce_cyclic_iso, built as a
     composition: un-contracting on the l side (the swapped pairs of the
@@ -190,6 +208,22 @@ def recursive_complement_subgroup(a, p, g):
         return sd.c
     rec = recursive_complement_subgroup(lcoset(a, sd.c, g), p, gstar)
     return lift(rec, sd.c, g)
+
+
+def generated_subgroup(g, gens):
+    """Closure of gens under the operation, as a g-ordered subgroup."""
+    elems = {g.identity}
+    frontier = [g.identity]
+    gens = list(gens)
+    while frontier:
+        x = frontier.pop()
+        for a in gens:
+            y = g.op(x, a)
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
+    roster = tuple(x for x in g.roster if x in elems)
+    return subgroup(g, roster)
 
 
 def all_subgroups(g):

@@ -4,7 +4,6 @@ import pytest
 
 from grouptables.abelian import (
     abelian_factorization,
-    bezout_decomposition,
     cyclic_subgroup_list,
     rel_prime_split,
     subgroup_ord_dividing,
@@ -20,6 +19,8 @@ from grouptables.products import (
     product_list_map,
     product_orders,
 )
+
+from lemmas import bezout_decomposition
 
 
 def dp(*ns):

@@ -30,7 +30,6 @@ from grouptables.pgroup import cyclic_p_group_list_p, cyclic_p_subgroup_list
 from grouptables.products import (
     direct_product,
     internal_direct_product_p,
-    lift_cosets,
     product_group,
     product_orders,
     products,
@@ -42,6 +41,7 @@ from grouptables.uniqueness import (
     verify_unique_factorization,
 )
 
+from lemmas import lift_cosets
 from oracles import (
     all_subgroups,
     brute_force_isomorphism,

@@ -1,0 +1,110 @@
+"""The library ships only what its users call.
+
+An AST pass follows names from the CLI's entry point `cli.main` (and through
+its VERBS table every verb), from `selftest.run_selftest` and from the two
+scripts, through every module of src/grouptables/.  Every public top-level
+function and class must be reached, or be kept on purpose in KEEP with a
+reason; helpers that only tests use belong under tests/ (lemmas.py,
+oracles.py).  A class counts as reached with all of its methods.
+"""
+import ast
+import inspect
+from pathlib import Path
+
+import grouptables
+
+ROOT = Path(__file__).resolve().parent.parent
+
+KEEP = {
+    "gmaps.image": "the image subgroup: the paper's homomorphism vocabulary",
+    "gmaps.kernel": "the kernel subgroup: the paper's homomorphism vocabulary",
+    "gmaps.inv_isomorphism": "the inverse isomorphism: the paper's homomorphism vocabulary",
+    "fileformat.print_map": "the map-file writer, the inverse of parse_map",
+}
+ROOTS = ("cli.main", "selftest.run_selftest")
+SCRIPTS = ("scripts/classify_2groups.py", "scripts/factorization_report.py")
+
+
+def _imports(tree):
+    """Local name -> qualified name for every `from` import of the library,
+    wherever it sits; `.x` and `grouptables.x` both resolve to `x.name`."""
+    bound = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            source = node.module
+        elif (node.module or "").startswith("grouptables."):
+            source = node.module.removeprefix("grouptables.")
+        else:
+            continue
+        bound.update((a.asname or a.name, f"{source}.{a.name}") for a in node.names)
+    return bound
+
+
+def _names(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _top_level(tree):
+    """(the names bound, the node) for each top-level function, class and
+    assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield [node.name], node
+        elif isinstance(node, ast.Assign):
+            yield sorted(set().union(*map(_names, node.targets))), node
+
+
+def reachability(root):
+    """(the public top-level functions and classes of the package under
+    root, the qualified names reached from ROOTS and SCRIPTS)."""
+    edges, public = {}, set()
+    for path in sorted((root / "src" / "grouptables").glob("*.py")):
+        module = path.stem
+        if module == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = _imports(tree)
+        bound.update((name, f"{module}.{name}") for names, _ in _top_level(tree) for name in names)
+        for names, node in _top_level(tree):
+            refs = {bound[n] for n in _names(node) if n in bound}
+            for name in names:
+                edges[f"{module}.{name}"] = refs
+                if not name.startswith("_") and not isinstance(node, ast.Assign):
+                    public.add(f"{module}.{name}")
+    # each script counts as one caller of every library name it uses
+    seen, todo = set(), list(ROOTS)
+    for script in SCRIPTS:
+        tree = ast.parse((root / script).read_text())
+        bound = _imports(tree)
+        todo += [bound[n] for n in _names(tree) if n in bound]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += edges.get(name, ())
+    return public, seen
+
+
+def test_every_public_function_and_class_is_reached_or_kept():
+    public, reached = reachability(ROOT)
+    assert sorted(public - reached - set(KEEP)) == []
+
+
+def test_keep_lists_only_unreached_names():
+    public, reached = reachability(ROOT)
+    assert set(KEEP) <= public
+    assert set(KEEP) & reached == set()
+
+
+def test_products_is_a_module():
+    import grouptables.products as products
+
+    assert inspect.ismodule(products)
+    assert inspect.isfunction(products.products)
+
+
+def test_all_exports_no_modules():
+    exported = [getattr(grouptables, name) for name in grouptables.__all__]
+    assert exported and not any(map(inspect.ismodule, exported))

@@ -13,8 +13,6 @@ from grouptables.core import (
     lcosets,
     lift,
     normalp,
-    ord_insert,
-    ordp,
     powers,
     quotient,
     subgroup,
@@ -26,6 +24,7 @@ from grouptables.core import (
 from grouptables.errors import DomainError
 from grouptables.products import direct_product
 
+from lemmas import ord_insert, ordp
 from oracles import all_subgroups
 
 

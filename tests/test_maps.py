@@ -8,19 +8,17 @@ from grouptables.errors import DomainError
 from grouptables.gmaps import (
     GroupMap,
     classify,
-    compose_maps,
     homomorphism_check,
     identity_map,
     image,
     inv_isomorphism,
     kernel,
     map_from_function,
-    mapply,
 )
-from grouptables.core import ordp
 from grouptables.products import direct_product, product_list_map
 
-from oracles import brute_force_isomorphism
+from lemmas import mapply, ordp
+from oracles import brute_force_isomorphism, compose_maps
 
 
 def doubling(g):

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from grouptables.errors import DomainError
 from grouptables.numtheory import (
-    divides,
     gcd_bezout,
     least_prime_divisor,
     max_power_dividing,
@@ -11,6 +10,7 @@ from grouptables.numtheory import (
     primep,
 )
 
+from lemmas import divides
 from oracles import naive_gcd, naive_primes_upto
 
 

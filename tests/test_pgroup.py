@@ -9,7 +9,6 @@ from grouptables.pgroup import (
     cyclic_p_group_p,
     cyclic_p_subgroup_list,
     cyclicp,
-    desired_properties_check,
     max_ord,
     p_groupp,
     split_witness,
@@ -21,6 +20,7 @@ from grouptables.products import (
 )
 
 from conftest import dp_cyclic_corpus
+from lemmas import desired_properties_check
 from oracles import recursive_complement_subgroup
 
 

@@ -8,22 +8,25 @@ from grouptables.core import (
     trivial_subgroup,
 )
 from grouptables.errors import DomainError, ResourceError
-from grouptables.gmaps import classify, homomorphism_check, mapply
+from grouptables.gmaps import classify, homomorphism_check
 from grouptables.products import (
     direct_product,
-    dp_index_compare,
     group_tuples,
-    internal_direct_product_append,
     internal_direct_product_p,
-    lift_cosets,
     product_group,
-    product_group_list,
     product_list_map,
     product_orders,
     products,
 )
 from grouptables.core import abelianp
 
+from lemmas import (
+    dp_index_compare,
+    internal_direct_product_append,
+    lift_cosets,
+    mapply,
+    product_group_list,
+)
 from oracles import all_subgroups
 
 
@@ -264,7 +267,7 @@ def test_product_orders():
 
 
 def test_products_matches_ord_insert_fold(z12):
-    from grouptables.core import ord_insert
+    from lemmas import ord_insert
 
     subs = all_subgroups(z12)
     for h in subs:

@@ -6,26 +6,29 @@ from hypothesis import given, settings, strategies as st
 
 from grouptables.core import abelianp, cyclic_group, check_group
 from grouptables.errors import DomainError
-from grouptables.gmaps import classify, homomorphism_check, identity_map, mapply
+from grouptables.gmaps import classify, homomorphism_check, identity_map
 from grouptables.products import direct_product, group_tuples
 from grouptables.uniqueness import (
     delete_trivial,
     first_prime,
     group_power,
-    group_power_dp_check,
     group_power_list,
-    hits,
     hits_diff,
     orders,
     permutationp,
-    reduce_cyclic,
     reduce_cyclic_iso,
-    reduce_order,
-    reduce_orders,
     verify_unique_factorization,
 )
 from grouptables.gmaps import map_from_function
 
+from lemmas import (
+    group_power_dp_check,
+    hits,
+    mapply,
+    reduce_cyclic,
+    reduce_order,
+    reduce_orders,
+)
 from oracles import brute_force_isomorphism, composed_reduce_cyclic_iso, delete_trivial_iso
 
 
