@@ -16,6 +16,7 @@ Map file: one `x -> y` line per pair, with the same label syntax.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 import numpy as np
 
@@ -129,26 +130,22 @@ def _index_array(rows, n):
     return t.reshape(n, n)
 
 
-# the line boundaries of str.splitlines
-_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# the line breaks of str.splitlines other than "\n"
+_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _non_blank_lines(text, keep, chunk=1 << 16):
+def _non_blank_lines(text, keep):
     """(the first `keep` non-blank lines of text, the number of them all).
 
-    Lines are those of str.splitlines and blank is str.strip's test, but the
-    text is split a chunk at a time, each ending just after a line break, so
-    an over-long file costs one chunk's lines, not a list of all of them.
+    Lines are those of str.splitlines and blank is str.strip's test, but
+    with every break made "\\n" the lines are matched one at a time, so an
+    over-long file is counted without a list of all its lines.
     """
-    lines, count, start = [], 0, 0
-    while start < len(text):
-        cut = _BREAK.search(text, start + chunk)
-        stop = cut.end() if cut else len(text)
-        part = [ln for ln in text[start:stop].splitlines() if ln.strip()]
-        lines += part[:keep - len(lines)]
-        count += len(part)
-        start = stop
-    return lines, count
+    for ch in _BREAKS:
+        text = text.replace(ch, "\n")
+    it = (m[0] for m in re.finditer("[^\n]+", text) if m[0].strip())
+    lines = list(islice(it, keep))
+    return lines, len(lines) + sum(1 for _ in it)
 
 
 def parse_group(text):

@@ -1,6 +1,7 @@
 """parse_group's line split: the lines of str.splitlines with the blank
-ones dropped, taken a chunk at a time, so that a file far longer than its
-header allows is rejected without a list of all its lines."""
+ones dropped, matched one at a time once every break is made "\\n", so
+that a file far longer than its header allows is rejected without a list
+of all its lines."""
 import tracemalloc
 
 import pytest
@@ -8,22 +9,22 @@ from hypothesis import given, settings, strategies as st
 
 from grouptables.core import MAX_FILE_CHARS
 from grouptables.errors import DomainError
-from grouptables.fileformat import _BREAK, _non_blank_lines, parse_group
+from grouptables.fileformat import _BREAKS, _non_blank_lines, parse_group
 
 
-def test_break_is_a_splitlines_boundary():
-    chars = "".join(map(chr, range(0x110000)))
-    assert _BREAK.findall(chars) == [ch for ch in chars if len(f"a{ch}b".splitlines()) == 2]
+def test_breaks_are_the_splitlines_boundaries():
+    breaks = [chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2]
+    assert sorted("\n" + _BREAKS) == breaks
 
 
 LINE_CHARS = "ab \t\u3000\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.text(st.sampled_from(LINE_CHARS)), st.integers(1, 6), st.integers(0, 4))
-def test_chunked_lines_match_splitlines(text, chunk, keep):
+@given(st.text(st.sampled_from(LINE_CHARS)), st.integers(0, 4))
+def test_lines_match_splitlines(text, keep):
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    assert _non_blank_lines(text, keep, chunk) == (lines[:keep], len(lines))
+    assert _non_blank_lines(text, keep) == (lines[:keep], len(lines))
 
 
 def test_over_long_file_rejected_in_bounded_memory():
