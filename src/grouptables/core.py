@@ -149,7 +149,11 @@ def check_group(roster, table):
             if x in seen:
                 return AxiomViolation("roster", (x,))
             seen.add(x)
-    if len(table) != n or any(len(row) != n for row in table):
+    try:
+        shaped = len(table) == n and all(len(row) == n for row in table)
+    except TypeError:  # a table or row without a length, e.g. an int
+        shaped = False
+    if not shaped:
         return AxiomViolation("shape", (n,))
     t, bad = _index_entries(table, n)
     if bad is not None:

@@ -11,7 +11,8 @@ check_group types by its dtype; any other table is read row by row into
 tuples, and that loop alone reports bad rows and numerals too long to
 convert.
 
-Map file: one `x -> y` line per pair, with the same label syntax.
+Map file: one `x -> y` line per pair, with the same label syntax, and at
+most MAX_ORDER pairs.
 """
 from __future__ import annotations
 
@@ -53,37 +54,27 @@ def _tokenize(text):
     return _TOKENS.findall(text)
 
 
-def _parse_one(tokens, k, depth=0):
-    """The element starting at tokens[k], inside depth open parentheses."""
-    if k >= len(tokens):
-        raise DomainError("unexpected end of element text")
-    t = tokens[k]
-    if t == "(":
-        if depth >= MAX_DEPTH:
-            raise ResourceError(f"element nesting exceeds the {MAX_DEPTH} guard")
-        parts = []
-        k += 1
-        while k < len(tokens) and tokens[k] != ")":
-            part, k = _parse_one(tokens, k, depth + 1)
-            parts.append(part)
-        if k >= len(tokens):
-            raise DomainError("unbalanced parenthesis in element text")
-        return tuple(parts), k + 1
-    if t == ")":
-        raise DomainError("unexpected ')' in element text")
-    if t.removeprefix("-").isdecimal():
-        return parse_numerals([t])[0], k + 1
-    return t, k + 1
-
-
 def parse_elements(text):
-    """All elements in a whitespace-separated, paren-aware label string."""
-    tokens = _tokenize(text)
-    out = []
-    k = 0
-    while k < len(tokens):
-        x, k = _parse_one(tokens, k)
-        out.append(x)
+    """All elements in a whitespace-separated, paren-aware label string, in
+    one pass with a stack of the open tuples: the first error is raised."""
+    out, open_tuples = [], []
+    for t in _tokenize(text):
+        if t == "(":
+            if len(open_tuples) >= MAX_DEPTH:
+                raise ResourceError(f"element nesting exceeds the {MAX_DEPTH} guard")
+            open_tuples.append([])
+            continue
+        if t == ")":
+            if not open_tuples:
+                raise DomainError("unexpected ')' in element text")
+            x = tuple(open_tuples.pop())
+        elif t.removeprefix("-").isdecimal():
+            x = parse_numerals([t])[0]
+        else:
+            x = t
+        (open_tuples[-1] if open_tuples else out).append(x)
+    if open_tuples:
+        raise DomainError("unbalanced parenthesis in element text")
     return out
 
 
@@ -193,10 +184,14 @@ def print_map(m):
 
 
 def parse_map(text):
+    """The GroupMap of a map file.  A map's domain is a roster, so more than
+    MAX_ORDER non-blank lines are rejected before any label is parsed."""
+    lines, count = _non_blank_lines(text, MAX_ORDER + 1)
+    if count > MAX_ORDER:
+        raise ResourceError(
+            f"map file has {count} non-blank lines, more than the {MAX_ORDER} guard")
     pairs = []
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
+    for ln in lines:
         if "->" not in ln:
             raise DomainError(f"bad map line: {ln!r}")
         left, right = ln.split("->", 1)

@@ -8,7 +8,6 @@ would hide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import subgroup
 from .errors import DomainError
@@ -19,13 +18,10 @@ class GroupMap:
     pairs: tuple
 
     def __post_init__(self):
-        keys = [k for k, _ in self.pairs]
-        if len(set(keys)) != len(keys):
+        table = dict(self.pairs)
+        if len(table) != len(self.pairs):
             raise DomainError("map keys must be pairwise distinct")
-
-    @cached_property
-    def _table(self):
-        return dict(self.pairs)
+        object.__setattr__(self, "_table", table)
 
     @property
     def domain(self):

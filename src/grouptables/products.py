@@ -5,6 +5,9 @@ candidate map to the caller's isomorphism check.
 """
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from .core import (
@@ -21,10 +24,7 @@ from .gmaps import GroupMap
 
 
 def product_orders(l):
-    n = 1
-    for g in l:
-        n *= g.order
-    return n
+    return math.prod(g.order for g in l)
 
 
 def group_tuples(l):
@@ -32,13 +32,10 @@ def group_tuples(l):
 
     The first tuple is the identity tuple.
     """
-    l = list(l)
-    if not l:
+    rosters = [g.roster for g in l]
+    if not rosters:
         raise DomainError("group-tuples needs a non-empty group list")
-    out = [()]
-    for g in l:
-        out = [t + (x,) for t in out for x in g.roster]
-    return tuple(out)
+    return tuple(itertools.product(*rosters))
 
 
 def direct_product(l):

@@ -1,12 +1,12 @@
 """The paper's lemmas, kept as executable checks.
 
-The ACL2 development states its proof steps as functions: divisibility and
-the Bezout split of an element, the element orderings of a roster, the
-splitting contract of a p-group, the counting argument behind the size of a
-product of subgroups, the appending of internal direct products, the power
-of a direct product, and the order reduction of the uniqueness contraction.
+The ACL2 development states its proof steps as functions: the Bezout split
+of an element, the element orderings of a roster, the splitting contract
+of a p-group, the counting argument behind the size of a product of
+subgroups, the appending of internal direct products, the power of a
+direct product, and the order reduction of the uniqueness contraction.
 No CLI verb, selftest or script calls them, so they live here, beside the
-tests that check them, with the bodies they had in the library.
+tests that check them.
 """
 from __future__ import annotations
 
@@ -19,21 +19,10 @@ from grouptables.core import (
     trivial_subgroup,
 )
 from grouptables.errors import DomainError
-from grouptables.numtheory import check_nat, gcd_bezout, primep
+from grouptables.numtheory import gcd_bezout, primep
 from grouptables.pgroup import cyclicp
 from grouptables.products import direct_product, internal_direct_product_p, product_group
 from grouptables.uniqueness import delete_trivial, group_power, group_power_list
-
-
-# ---------------------------------------------------------------------------
-# numtheory
-
-
-def divides(d, n):
-    """True iff d divides n exactly. d must be positive."""
-    check_nat(d, "d", minimum=1)
-    check_nat(n, "n")
-    return n % d == 0
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +51,6 @@ def ord_insert(x, l, g):
     if not placed:
         out.append(x)
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# gmaps
-
-
-def mapply(m, x):
-    return m.apply(x)
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +151,9 @@ def internal_direct_product_append(l, m, g):
 # uniqueness
 
 
-def hits(x, l):
-    """Number of occurrences of x in l."""
-    return sum(1 for y in l if y == x)
-
-
-def reduce_order(n, p):
-    return n // p if divides(p, n) else n
-
-
 def reduce_orders(orders_, p):
-    return tuple(reduce_order(n, p) for n in orders_)
+    """Each order divided by p where p divides it."""
+    return tuple(n // p if n % p == 0 else n for n in orders_)
 
 
 def group_power_dp_check(n, l):

@@ -3,16 +3,17 @@
 Isomorphism search is raw backtracking over element bijections or generator
 images, arithmetic is naive trial division, subgroup enumeration is closure
 from below, the group axioms are compared on full n^3 cubes of products,
-group files are read one character and one row at a time, the uniqueness
-contraction map is composed from three maps rather than built in one pass,
-and the p-group complement recurses with every level checked.
+group files are read one character and one row at a time and their labels
+by recursive descent, the uniqueness contraction map is composed from
+three maps rather than built in one pass, and the p-group complement
+recurses with every level checked.
 
 They are not yet free of the code under test: they build on the library's
 `abelianp`, `lcoset`, `lift`, `quotient`, `subgroup`, `trivial_subgroup`,
 `split_witness`, `cyclicp`, `group_power_list`, `delete_trivial`,
-`delete_trivial_elt`, `group_tuples`, `map_from_function`, `GroupMap`,
-`parse_elements` and `parse_numerals`, and on `FiniteGroup`'s `op`, `power`
-and `element_order`.  Replacing them with plain-list arithmetic is an open
+`delete_trivial_elt`, `group_tuples`, `map_from_function`, `GroupMap`
+and `parse_numerals`, and on `FiniteGroup`'s `op`, `power` and
+`element_order`.  Replacing them with plain-list arithmetic is an open
 item on ROADMAP.md.
 """
 from __future__ import annotations
@@ -22,6 +23,7 @@ from itertools import permutations
 import numpy as np
 
 from grouptables.core import (
+    MAX_DEPTH,
     MAX_ORDER,
     abelianp,
     lcoset,
@@ -31,7 +33,7 @@ from grouptables.core import (
     trivial_subgroup,
 )
 from grouptables.errors import DomainError, ResourceError
-from grouptables.fileformat import parse_elements, parse_numerals
+from grouptables.fileformat import parse_numerals
 from grouptables.gmaps import GroupMap, map_from_function
 from grouptables.pgroup import cyclicp, split_witness
 from grouptables.products import group_tuples
@@ -136,11 +138,45 @@ def tokenize_chars(text):
     return out
 
 
+def _parse_one(tokens, k, depth=0):
+    """The element starting at tokens[k], inside depth open parentheses."""
+    if k >= len(tokens):
+        raise DomainError("unexpected end of element text")
+    t = tokens[k]
+    if t == "(":
+        if depth >= MAX_DEPTH:
+            raise ResourceError(f"element nesting exceeds the {MAX_DEPTH} guard")
+        parts = []
+        k += 1
+        while k < len(tokens) and tokens[k] != ")":
+            part, k = _parse_one(tokens, k, depth + 1)
+            parts.append(part)
+        if k >= len(tokens):
+            raise DomainError("unbalanced parenthesis in element text")
+        return tuple(parts), k + 1
+    if t == ")":
+        raise DomainError("unexpected ')' in element text")
+    if t.removeprefix("-").isdecimal():
+        return parse_numerals([t])[0], k + 1
+    return t, k + 1
+
+
+def parse_elements_recursive(text):
+    """All elements in a label string, by recursive descent: the library's
+    former fileformat.parse_elements, on the tokens of tokenize_chars."""
+    tokens = tokenize_chars(text)
+    out = []
+    k = 0
+    while k < len(tokens):
+        x, k = _parse_one(tokens, k)
+        out.append(x)
+    return out
+
+
 def parse_group_rows(text):
     """(roster, table) of a group file with the table read row by row into
     tuples of ints: the library's former fileformat.parse_group, with the
-    same errors and messages.  Labels go through the library's
-    parse_elements, whose tokenizer is compared with tokenize_chars."""
+    same errors and messages, with labels read by parse_elements_recursive."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DomainError("empty group file")
@@ -152,7 +188,7 @@ def parse_group_rows(text):
         raise ResourceError(f"group file order {n} exceeds the {MAX_ORDER} guard")
     if len(lines) != n + 2:
         raise DomainError(f"expected {n + 2} lines, got {len(lines)}")
-    roster = parse_elements(lines[1])
+    roster = parse_elements_recursive(lines[1])
     if len(roster) != n:
         raise DomainError(f"expected {n} labels, got {len(roster)}")
     table = []

@@ -6,6 +6,10 @@ scripts, through every module of src/grouptables/.  Every public top-level
 function and class must be reached, or be kept on purpose in KEEP with a
 reason; helpers that only tests use belong under tests/ (lemmas.py,
 oracles.py).  A class counts as reached with all of its methods.
+
+The same call graph shows every recursion among the library's top-level
+functions; the few that are left are listed in CYCLES with a reason, so a
+recursion that a loop replaced cannot come back unseen.
 """
 import ast
 import inspect
@@ -23,6 +27,13 @@ KEEP = {
 }
 ROOTS = ("cli.main", "selftest.run_selftest")
 SCRIPTS = ("scripts/classify_2groups.py", "scripts/factorization_report.py")
+# the only recursions left, each with its reason
+CYCLES = {
+    frozenset({"fileformat.format_element"}):
+        "prints a nested tuple label, one call per level of nesting",
+    frozenset({"cli._parse_one_builder", "cli._parse_dp_factors"}):
+        "dp builders inside dp builders, bounded by MAX_DEPTH",
+}
 
 
 def _imports(tree):
@@ -56,10 +67,11 @@ def _top_level(tree):
             yield sorted(set().union(*map(_names, node.targets))), node
 
 
-def reachability(root):
-    """(the public top-level functions and classes of the package under
-    root, the qualified names reached from ROOTS and SCRIPTS)."""
-    edges, public = {}, set()
+def call_graph(root):
+    """(edges, public, functions) for the package under root: each
+    top-level name's qualified name -> the library names its node uses, the
+    public top-level functions and classes, and all top-level functions."""
+    edges, public, functions = {}, set(), set()
     for path in sorted((root / "src" / "grouptables").glob("*.py")):
         module = path.stem
         if module == "__init__":
@@ -71,20 +83,43 @@ def reachability(root):
             refs = {bound[n] for n in _names(node) if n in bound}
             for name in names:
                 edges[f"{module}.{name}"] = refs
+                if isinstance(node, ast.FunctionDef):
+                    functions.add(f"{module}.{name}")
                 if not name.startswith("_") and not isinstance(node, ast.Assign):
                     public.add(f"{module}.{name}")
-    # each script counts as one caller of every library name it uses
-    seen, todo = set(), list(ROOTS)
-    for script in SCRIPTS:
-        tree = ast.parse((root / script).read_text())
-        bound = _imports(tree)
-        todo += [bound[n] for n in _names(tree) if n in bound]
+    return edges, public, functions
+
+
+def _reached(edges, todo):
+    seen, todo = set(), list(todo)
     while todo:
         name = todo.pop()
         if name not in seen:
             seen.add(name)
             todo += edges.get(name, ())
-    return public, seen
+    return seen
+
+
+def reachability(root):
+    """(the public top-level functions and classes of the package under
+    root, the qualified names reached from ROOTS and SCRIPTS)."""
+    edges, public, _ = call_graph(root)
+    # each script counts as one caller of every library name it uses
+    todo = list(ROOTS)
+    for script in SCRIPTS:
+        tree = ast.parse((root / script).read_text())
+        bound = _imports(tree)
+        todo += [bound[n] for n in _names(tree) if n in bound]
+    return public, _reached(edges, todo)
+
+
+def cycles(root):
+    """Each set of names that reach one another through the call graph
+    (a self-call is a set of one), for the sets holding a function."""
+    edges, _, functions = call_graph(root)
+    after = {name: _reached(edges, refs) for name, refs in edges.items()}
+    return {frozenset(m for m in after[name] if name in after.get(m, ()))
+            for name in functions if name in after[name]}
 
 
 def test_every_public_function_and_class_is_reached_or_kept():
@@ -96,6 +131,10 @@ def test_keep_lists_only_unreached_names():
     public, reached = reachability(ROOT)
     assert set(KEEP) <= public
     assert set(KEEP) & reached == set()
+
+
+def test_only_the_listed_recursions_remain():
+    assert cycles(ROOT) == set(CYCLES)
 
 
 def test_products_is_a_module():

@@ -196,3 +196,18 @@ def test_memory_is_quadratic(nested):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("roster, table, kind, witness", [
+    ((), [], "roster", ("empty",)),
+    ((0,), [0], "shape", (1,)),
+    ((0,), np.array([0]), "shape", (1,)),
+    ((0,), 0, "shape", (1,)),
+    ((0, 1), [[0, 1]], "shape", (2,)),
+    ((0, 1), [[0, 1], [1]], "shape", (2,)),
+    ((0, 1), np.zeros((2, 3), dtype=np.int16), "shape", (2,)),
+], ids=["empty-roster", "int-rows", "1-d-array", "int-table", "missing-row",
+        "short-row", "wide-array"])
+def test_roster_and_shape_kinds(roster, table, kind, witness):
+    v = check_group(roster, table)
+    assert (v.kind, v.witness) == (kind, witness)

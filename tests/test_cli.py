@@ -293,6 +293,22 @@ def test_map_label_nesting_guard(capsys, tmp_path):
     assert capsys.readouterr().err == "error: element nesting exceeds the 32 guard\n"
 
 
+@pytest.mark.parametrize("extra, code", [(255, 0), (256, 1)])
+def test_map_line_guard(extra, code, capsys, tmp_path):
+    # pairs outside the domain count too: a map file holds at most 256 pairs
+    g = tmp_path / "g.grp"
+    g.write_text("group 1\n0\n0\n")
+    m = tmp_path / "m.map"
+    m.write_text("".join(f"{k} -> 0\n" for k in range(extra + 1)))
+    assert main(["iso", str(g), str(g), str(m)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert (out, err) == ("", "error: map file has 257 non-blank lines, "
+                                  "more than the 256 guard\n")
+    else:
+        assert out.startswith("homomorphism: true\n")
+
+
 def _is_builder_list(tokens):
     try:
         build_factor_list(tokens)

@@ -10,19 +10,7 @@ from grouptables.numtheory import (
     primep,
 )
 
-from lemmas import divides
 from oracles import naive_gcd, naive_primes_upto
-
-
-def test_divides():
-    assert divides(3, 12)
-    assert divides(1, 0)
-    assert not divides(5, 12)
-
-
-def test_divides_zero_divisor_rejected():
-    with pytest.raises(DomainError):
-        divides(0, 12)
 
 
 def test_gcd_bezout_examples():
@@ -87,4 +75,4 @@ def test_primep_against_sieve():
 
 def test_guard_rejects_huge():
     with pytest.raises(DomainError):
-        divides(2, 2**40)
+        max_power_dividing(2, 2**40)

@@ -1,5 +1,6 @@
 """parse_group against the row-by-row reference oracles.parse_group_rows,
-and the label tokenizer against oracles.tokenize_chars.
+the label tokenizer against oracles.tokenize_chars, and the label parser
+against the recursive reference oracles.parse_elements_recursive.
 
 A plain table is read into an index array and anything else row by row, so
 both parsers must give the same roster and table values, or raise the same
@@ -15,11 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grouptables import cli
-from grouptables.core import cyclic, cyclic_group, quotient, symmetric_group
-from grouptables.fileformat import _tokenize, parse_group, print_group
+from grouptables.core import MAX_DEPTH, cyclic, cyclic_group, quotient, symmetric_group
+from grouptables.fileformat import _tokenize, parse_elements, parse_group, print_group
 from grouptables.products import direct_product
 
-from oracles import parse_group_rows, tokenize_chars
+from oracles import parse_elements_recursive, parse_group_rows, tokenize_chars
 
 Z4 = cyclic_group(4)
 BASES = {
@@ -175,3 +176,40 @@ LABEL_CHARS = "() \t\n\r\x0b\x0c\x1c\x1f\x85\u00a0\u2003\u2028\u3000²-1٣x,"
 @given(st.text(st.sampled_from(LABEL_CHARS) | st.characters()))
 def test_tokenize_matches_character_loop(text):
     assert _tokenize(text) == tokenize_chars(text)
+
+
+LABEL_TOKENS = ["(", ")", "0", "7", "-1", "-", "--1", "²", "-²", "٣", "x", "1_0",
+                "9" * 5000, "-" + "9" * 5000, "0" * 5000 + "1"]
+
+
+@st.composite
+def label_texts(draw):
+    """Label tokens, parens unbalanced at times, inside 0 or 31-34 open
+    parentheses that are closed, one short or one over at times."""
+    tokens = draw(st.lists(st.sampled_from(LABEL_TOKENS), max_size=12))
+    seps = draw(st.lists(st.sampled_from(["", " ", "\t", "\u3000"]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    text = "".join(sep + t for sep, t in zip(seps, tokens))
+    depth = draw(st.sampled_from([0, MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, MAX_DEPTH + 2]))
+    closing = max(0, depth + draw(st.integers(-1, 1)))
+    return "(" * depth + text + ")" * closing
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(label_texts() | st.text(st.sampled_from(LABEL_CHARS)))
+def test_label_loop_matches_recursive_descent(text):
+    assert parsed(parse_elements, text) == parsed(parse_elements_recursive, text)
+
+
+@pytest.mark.parametrize("depth", range(MAX_DEPTH - 1, MAX_DEPTH + 3))
+def test_label_nesting_at_the_guard_matches_recursive_descent(depth):
+    for text in ("(" * depth + "0" + ")" * depth, "(" * depth + "0",
+                 "(" * depth + "9" * 5000 + ")" * depth, "0 ) " + "(" * depth):
+        assert parsed(parse_elements, text) == parsed(parse_elements_recursive, text)

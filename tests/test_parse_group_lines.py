@@ -1,15 +1,16 @@
-"""parse_group's line split: the lines of str.splitlines with the blank
-ones dropped, matched one at a time once every break is made "\\n", so
-that a file far longer than its header allows is rejected without a list
-of all its lines."""
+"""The line split of parse_group and parse_map: the lines of
+str.splitlines with the blank ones dropped, matched one at a time once
+every break is made "\\n", so that a group file far longer than its
+header allows, or a map file of more than MAX_ORDER pairs, is rejected
+without a list of all its lines."""
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grouptables.core import MAX_FILE_CHARS
-from grouptables.errors import DomainError
-from grouptables.fileformat import _BREAKS, _non_blank_lines, parse_group
+from grouptables.core import MAX_FILE_CHARS, MAX_ORDER
+from grouptables.errors import DomainError, ResourceError
+from grouptables.fileformat import _BREAKS, _non_blank_lines, parse_group, parse_map
 
 
 def test_breaks_are_the_splitlines_boundaries():
@@ -36,6 +37,28 @@ def test_over_long_file_rejected_in_bounded_memory():
     try:
         with pytest.raises(DomainError, match=rf"^expected 5 lines, got {rows + 1}$"):
             parse_group(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_map_line_guard_comes_before_labels():
+    # every line is a bad label, but only the count is read
+    with pytest.raises(ResourceError, match=rf"^map file has {MAX_ORDER + 1} non-blank "
+                                            rf"lines, more than the {MAX_ORDER} guard$"):
+        parse_map("((\n \t\n" * (MAX_ORDER + 1))
+
+
+def test_over_long_map_rejected_in_bounded_memory():
+    # 2.4 M pairs: parsing them all before the duplicate-key check would
+    # take hundreds of MB
+    pairs = MAX_FILE_CHARS // len("0 -> 0\n")
+    text = "0 -> 0\n" * pairs
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=rf"^map file has {pairs} non-blank lines"):
+            parse_map(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -24,7 +24,6 @@ from lemmas import (
     dp_index_compare,
     internal_direct_product_append,
     lift_cosets,
-    mapply,
     product_group_list,
 )
 from oracles import all_subgroups
@@ -217,12 +216,12 @@ class TestProductListMap:
     def test_singleton_is_identity_embedding(self, z4):
         g = subgroup(z4, z4.roster)
         m = product_list_map([g], z4)
-        assert all(mapply(m, (x,)) == x for x in z4.roster)
+        assert all(m.apply((x,)) == x for x in z4.roster)
 
     def test_z6_value(self, z6):
         l = [cyclic(3, z6), cyclic(2, z6)]
         m = product_list_map(l, z6)
-        assert mapply(m, (3, 2)) == 5
+        assert m.apply((3, 2)) == 5
 
     def test_verified_isomorphism(self, z6):
         l = [cyclic(3, z6), cyclic(2, z6)]
@@ -258,7 +257,7 @@ def test_product_list_map_matches_recursive_fold(corpus_with_subgroups):
         for l in lists:
             m = product_list_map(l, g)
             assert m.domain == group_tuples(l)
-            assert all(mapply(m, x) == product_list_val(x, g) for x in m.domain)
+            assert all(m.apply(x) == product_list_val(x, g) for x in m.domain)
 
 
 def test_product_orders():
