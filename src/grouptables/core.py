@@ -64,15 +64,21 @@ class FiniteGroup:
         return {x: i for i, x in enumerate(self.roster)}
 
     @cached_property
-    def _orders(self):
-        """The order of every element, by roster index: all elements are
+    def _powers(self):
+        """Row k holds x^k for every x, by roster index, for k = 0 ... e with
+        e the group's exponent, so row e is all identity: all elements are
         stepped at once, at most n steps by Lagrange."""
-        cols = np.arange(self.order)
-        acc, orders, k = cols, np.zeros(self.order, dtype=np.intp), 1
-        while not orders.all():
-            orders[(acc == 0) & (orders == 0)] = k
-            acc = self.table[acc, cols]
-            k += 1
+        rows, cols = [np.zeros_like(self.table[0]), self.table[0]], np.arange(self.order)
+        while rows[-1].any():
+            rows.append(self.table[rows[-1], cols])
+        rows = np.array(rows)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def _orders(self):
+        """The order of every element: the first identity in its column."""
+        orders = np.argmax(self._powers[1:] == 0, axis=0) + 1
         orders.flags.writeable = False
         return orders
 
@@ -100,13 +106,16 @@ class FiniteGroup:
         return self.roster[self.table.item(self.index(x), self.index(y))]
 
     def inv(self, x):
-        return self.roster[int(np.argmax(self.table[self.index(x)] == 0))]
+        return self.power(x, -1)
 
     def power(self, x, n):
-        """x composed with itself n times; n is taken modulo x's order, so a
-        negative n gives a power of the inverse."""
-        cycle = powers(self, x)
-        return cycle[n % len(cycle)]
+        """x composed with itself n times; n is taken modulo the exponent, so
+        a negative n gives a power of the inverse."""
+        return self.roster[self._power_row(n).item(self.index(x))]
+
+    def _power_row(self, n):
+        """x^n for every x, by roster index: row n mod e of _powers."""
+        return self._powers[n % (len(self._powers) - 1)]
 
     def element_order(self, x):
         """Least k >= 1 with x^k = identity."""
@@ -303,10 +312,8 @@ def subgroupp(h, g):
 
 def powers(g, a):
     """[e, a, a^2, ...] up to (but excluding) the first repeat of e."""
-    i, out = g.index(a), [0]
-    while (j := g.table.item(out[-1], i)) != 0:
-        out.append(j)
-    return tuple(g.roster[j] for j in out)
+    i = g.index(a)
+    return tuple(g.roster[j] for j in g._powers[:g._orders[i], i].tolist())
 
 
 def cyclic(a, g):
@@ -372,8 +379,7 @@ def lcosets(h, g):
 def normalp(h, g):
     if not subgroupp(h, g):
         raise DomainError("h is not a subgroup of g")
-    t = g.table
-    inv = np.argmax(t == 0, axis=1)  # inv[x] is the column of the identity in row x
+    t, inv = g.table, g._powers[-2]  # inv[x] = x^(e-1)
     emb = [g.index(y) for y in h.roster]
     member = np.zeros(g.order, dtype=bool)
     member[emb] = True

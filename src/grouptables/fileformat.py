@@ -11,8 +11,8 @@ check_group types by its dtype; any other table is read row by row into
 tuples, and that loop alone reports bad rows and numerals too long to
 convert.
 
-Map file: one `x -> y` line per pair, with the same label syntax, and at
-most MAX_ORDER pairs.
+Map file: one `x -> y` line per pair, with the same label syntax, split at
+a bare `->` between two labels or else the first `->`; at most MAX_ORDER pairs.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ _TOKENS = re.compile(r"[()]|[^\s()]+")
 
 
 def _tokenize(text):
-    return _TOKENS.findall(text)
+    return (m[0] for m in _TOKENS.finditer(text))
 
 
 def parse_elements(text):
@@ -194,6 +194,11 @@ def parse_map(text):
     for ln in lines:
         if "->" not in ln:
             raise DomainError(f"bad map line: {ln!r}")
-        left, right = ln.split("->", 1)
-        pairs.append((parse_element(left), parse_element(right)))
+        try:  # a label may hold "->", so a bare "->" between two elements comes first
+            x, arrow, y = parse_elements(ln)
+        except ValueError:
+            arrow = None
+        if arrow != "->":
+            x, y = map(parse_element, ln.split("->", 1))
+        pairs.append((x, y))
     return GroupMap(tuple(pairs))

@@ -58,14 +58,8 @@ def group_power(n, g):
         raise DomainError("group-power needs an abelian group")
     if n < 1:
         raise DomainError("n must be >= 1")
-    # x^n for every x at once, by repeated squaring on indices
-    t, acc, base = g.table, np.zeros(g.order, dtype=np.intp), np.arange(g.order)
-    while n:
-        if n & 1:
-            acc = t[acc, base]
-        base, n = t[base, base], n >> 1
     hit = np.zeros(g.order, dtype=bool)
-    hit[acc] = True
+    hit[g._power_row(n)] = True
     return subgroup(g, tuple(g.roster[i] for i in np.flatnonzero(hit)))
 
 

@@ -4,9 +4,10 @@ Isomorphism search is raw backtracking over element bijections or generator
 images, arithmetic is naive trial division, subgroup enumeration is closure
 from below, the group axioms are compared on full n^3 cubes of products,
 group files are read one character and one row at a time and their labels
-by recursive descent, the uniqueness contraction map is composed from
-three maps rather than built in one pass, and the p-group complement
-recurses with every level checked.
+by recursive descent, element orders, powers and inverses are stepped or
+scanned on the table rather than read from its power table, the uniqueness
+contraction map is composed from three maps rather than built in one pass,
+and the p-group complement recurses with every level checked.
 
 They are not yet free of the code under test: they build on the library's
 `abelianp`, `lcoset`, `lift`, `quotient`, `subgroup`, `trivial_subgroup`,
@@ -114,6 +115,61 @@ def check_group_cubes(roster, table):
         if len(js) == 0 or t[js[0], i] != 0:
             return "inverse", (roster[i],)
     return None
+
+
+def stepped_orders(g):
+    """The order of every element, by roster index: all elements are
+    stepped at once, at most n steps by Lagrange.  The library's former
+    FiniteGroup._orders."""
+    cols = np.arange(g.order)
+    acc, orders, k = cols, np.zeros(g.order, dtype=np.intp), 1
+    while not orders.all():
+        orders[(acc == 0) & (orders == 0)] = k
+        acc = g.table[acc, cols]
+        k += 1
+    orders.flags.writeable = False
+    return orders
+
+
+def walked_powers(g, a):
+    """[e, a, a^2, ...] up to (but excluding) the first repeat of e, by a
+    walk along a's cycle: the library's former core.powers."""
+    i, out = g.index(a), [0]
+    while (j := g.table.item(out[-1], i)) != 0:
+        out.append(j)
+    return tuple(g.roster[j] for j in out)
+
+
+def walked_power(g, x, n):
+    """x^n as the n mod ord(x)-th entry of x's walked cycle: the library's
+    former FiniteGroup.power."""
+    cycle = walked_powers(g, x)
+    return cycle[n % len(cycle)]
+
+
+def scanned_inv(g, x):
+    """The column of the identity in x's row: the library's former
+    FiniteGroup.inv."""
+    return g.roster[int(np.argmax(g.table[g.index(x)] == 0))]
+
+
+def squared_group_power(n, g):
+    """The subgroup of n-th powers of an abelian group, in g order, by
+    repeated squaring on indices: the library's former
+    uniqueness.group_power."""
+    if not abelianp(g):
+        raise DomainError("group-power needs an abelian group")
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    # x^n for every x at once, by repeated squaring on indices
+    t, acc, base = g.table, np.zeros(g.order, dtype=np.intp), np.arange(g.order)
+    while n:
+        if n & 1:
+            acc = t[acc, base]
+        base, n = t[base, base], n >> 1
+    hit = np.zeros(g.order, dtype=bool)
+    hit[acc] = True
+    return subgroup(g, tuple(g.roster[i] for i in np.flatnonzero(hit)))
 
 
 def tokenize_chars(text):

@@ -1,11 +1,11 @@
 """The library ships only what its users call.
 
 An AST pass follows names from the CLI's entry point `cli.main` (and through
-its VERBS table every verb), from `selftest.run_selftest` and from the two
-scripts, through every module of src/grouptables/.  Every public top-level
-function and class must be reached, or be kept on purpose in KEEP with a
-reason; helpers that only tests use belong under tests/ (lemmas.py,
-oracles.py).  A class counts as reached with all of its methods.
+its VERBS table every verb), from `selftest.run_selftest` and from the
+scripts in SCRIPTS, through every module of src/grouptables/.  Every
+public top-level function and class must be reached, or be kept on purpose
+in KEEP with a reason; helpers that only tests use belong under tests/
+(lemmas.py, oracles.py).  A class counts as reached with all of its methods.
 
 The same call graph shows every recursion among the library's top-level
 functions; the few that are left are listed in CYCLES with a reason, so a
@@ -26,7 +26,8 @@ KEEP = {
     "fileformat.print_map": "the map-file writer, the inverse of parse_map",
 }
 ROOTS = ("cli.main", "selftest.run_selftest")
-SCRIPTS = ("scripts/classify_2groups.py", "scripts/factorization_report.py")
+SCRIPTS = ("scripts/classify_2groups.py", "scripts/deck_digests.py",
+           "scripts/factorization_report.py")
 # the only recursions left, each with its reason
 CYCLES = {
     frozenset({"fileformat.format_element"}):

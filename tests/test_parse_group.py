@@ -175,7 +175,7 @@ LABEL_CHARS = "() \t\n\r\x0b\x0c\x1c\x1f\x85\u00a0\u2003\u2028\u3000²-1٣x,"
 @settings(max_examples=300, deadline=None)
 @given(st.text(st.sampled_from(LABEL_CHARS) | st.characters()))
 def test_tokenize_matches_character_loop(text):
-    assert _tokenize(text) == tokenize_chars(text)
+    assert list(_tokenize(text)) == tokenize_chars(text)
 
 
 LABEL_TOKENS = ["(", ")", "0", "7", "-1", "-", "--1", "²", "-²", "٣", "x", "1_0",

@@ -13,8 +13,10 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     [
         ("classify_2groups.py", ["16"], "  Z2 x Z2 x Z2 x Z2"),
         ("factorization_report.py", ["--max-order", "12"], "11 factorizations built"),
+        ("deck_digests.py", ["--workloads", "factor-mix", "unique-perm", "--seeds", "1",
+                             "--requests", "3"], "unique-perm 1 3 "),
     ],
-    ids=["classify_2groups", "factorization_report"],
+    ids=["classify_2groups", "factorization_report", "deck_digests"],
 )
 def test_script_runs_from_any_directory(script, args, last, tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
