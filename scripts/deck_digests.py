@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Digest what the CLI prints for the benchmark's request decks.
 
-For each workload and seed, the deck is built with perfbench/workloads.py
-in a temporary directory, from the same seeded generator perfbench/run.py
-uses.  Each request then runs through grouptables.cli.main in this
+For each workload, with seeds 1 and 3, the deck is built with
+perfbench/workloads.py in a temporary directory, from the same seeded
+generator perfbench/run.py uses.  Each request then runs through grouptables.cli.main in this
 interpreter, with that directory as the working directory, so the map and
 group files the deck names are found.  One line is printed per deck:
 
@@ -14,10 +14,8 @@ order, with the deck directory's path replaced by a placeholder, so the
 lines of two checkouts can be compared as they are.  perfbench/ is read
 and never written.
 
-Usage: python3 scripts/deck_digests.py [--workloads W ...] [--seeds S ...]
-                                       [--requests N]
+Usage: python3 scripts/deck_digests.py
 """
-import argparse
 import contextlib
 import hashlib
 import io
@@ -48,7 +46,7 @@ def run_request(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-def deck_digest(workload, seed, limit):
+def deck_digest(workload, seed, limit=None):
     """(the number of requests run, the sha256 of their outputs) for the
     first `limit` requests of one deck, or all of them for None."""
     generate, _ = WORKLOADS[workload]
@@ -66,16 +64,9 @@ def deck_digest(workload, seed, limit):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--workloads", nargs="+", choices=list(WORKLOADS), default=list(WORKLOADS))
-    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 3])
-    ap.add_argument("--requests", type=int, default=None,
-                    help="run only the first N requests of each deck")
-    args = ap.parse_args()
-    for workload in args.workloads:
-        for seed in args.seeds:
-            count, sha = deck_digest(workload, seed, args.requests)
+    for workload in WORKLOADS:
+        for seed in (1, 3):
+            count, sha = deck_digest(workload, seed)
             print(f"{workload} {seed} {count} {sha}", flush=True)
 
 

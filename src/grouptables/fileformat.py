@@ -50,15 +50,12 @@ def parse_numerals(tokens):
 _TOKENS = re.compile(r"[()]|[^\s()]+")
 
 
-def _tokenize(text):
-    return (m[0] for m in _TOKENS.finditer(text))
-
-
 def parse_elements(text):
     """All elements in a whitespace-separated, paren-aware label string, in
     one pass with a stack of the open tuples: the first error is raised."""
     out, open_tuples = [], []
-    for t in _tokenize(text):
+    for m in _TOKENS.finditer(text):  # lazily: the depth guard runs before the rest is read
+        t = m[0]
         if t == "(":
             if len(open_tuples) >= MAX_DEPTH:
                 raise ResourceError(f"element nesting exceeds the {MAX_DEPTH} guard")

@@ -173,9 +173,10 @@ def squared_group_power(n, g):
 
 
 def tokenize_chars(text):
-    """Label tokens, one character at a time: the library's former
-    fileformat._tokenize.  Parentheses are tokens of their own, whitespace
-    (str.isspace) separates, and every other run of characters is a token."""
+    """Label tokens, one character at a time: the library's former label
+    tokenizer, which fileformat._TOKENS replaced.  Parentheses are tokens of
+    their own, whitespace (str.isspace) separates, and every other run of
+    characters is a token."""
     out = []
     i = 0
     while i < len(text):

@@ -13,7 +13,7 @@ from grouptables.fileformat import (
     print_group,
     print_map,
 )
-from grouptables.gmaps import map_from_function
+from grouptables.gmaps import identity_map, map_from_function
 from grouptables.products import direct_product
 
 
@@ -113,6 +113,11 @@ class TestMapFiles:
     def test_tuple_keys(self):
         g = direct_product([cyclic_group(2), cyclic_group(2)])
         m = map_from_function(g.roster, lambda x: (x[1], x[0]))
+        assert parse_map(print_map(m)) == m
+
+    @pytest.mark.parametrize("label", ["a->b", "->", "x->", "->y", "(a -> b)", "(-> (->) ->)"])
+    def test_labels_holding_arrows(self, label):
+        m = identity_map(load_group(f"group 2\n0 {label}\n0 1\n1 0\n").roster)
         assert parse_map(print_map(m)) == m
 
     def test_bad_line(self):

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from grouptables import cli
 from grouptables.core import MAX_DEPTH, cyclic, cyclic_group, quotient, symmetric_group
-from grouptables.fileformat import _tokenize, parse_elements, parse_group, print_group
+from grouptables.fileformat import _TOKENS, parse_elements, parse_group, print_group
 from grouptables.products import direct_product
 
 from oracles import parse_elements_recursive, parse_group_rows, tokenize_chars
@@ -175,7 +175,7 @@ LABEL_CHARS = "() \t\n\r\x0b\x0c\x1c\x1f\x85\u00a0\u2003\u2028\u3000²-1٣x,"
 @settings(max_examples=300, deadline=None)
 @given(st.text(st.sampled_from(LABEL_CHARS) | st.characters()))
 def test_tokenize_matches_character_loop(text):
-    assert list(_tokenize(text)) == tokenize_chars(text)
+    assert [m[0] for m in _TOKENS.finditer(text)] == tokenize_chars(text)
 
 
 LABEL_TOKENS = ["(", ")", "0", "7", "-1", "-", "--1", "²", "-²", "٣", "x", "1_0",

@@ -84,14 +84,8 @@ def test_power_table_shape_dtype_and_rows(g):
     assert np.array_equal(t[1], np.arange(g.order))
 
 
-def test_large_exponents_in_z12():
-    z12 = cyclic_group(12)
-    assert z12.power(5, 2**100 + 1) == 1
-    assert z12.power(5, -2**70) == 4
-    assert group_power(2**100, z12).order == 3
-
-
-@pytest.mark.parametrize("n", [2**63, -2**63, 2**63 - 1, -2**63 - 1, 2**100, -2**100, 2**100 + 7])
+@pytest.mark.parametrize("n", [2**63, -2**63, 2**63 - 1, -2**63 - 1, 2**100, -2**100,
+                               2**100 + 1, 2**100 + 7, -2**70])
 def test_large_exponents_match_the_oracles(n):
     z12, s5 = cyclic_group(12), symmetric_group(5)
     assert [z12.power(x, n) for x in z12.roster] == [(x * n) % 12 for x in z12.roster]

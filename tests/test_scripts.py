@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -13,10 +14,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     [
         ("classify_2groups.py", ["16"], "  Z2 x Z2 x Z2 x Z2"),
         ("factorization_report.py", ["--max-order", "12"], "11 factorizations built"),
-        ("deck_digests.py", ["--workloads", "factor-mix", "unique-perm", "--seeds", "1",
-                             "--requests", "3"], "unique-perm 1 3 "),
     ],
-    ids=["classify_2groups", "factorization_report", "deck_digests"],
+    ids=["classify_2groups", "factorization_report"],
 )
 def test_script_runs_from_any_directory(script, args, last, tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -26,3 +25,16 @@ def test_script_runs_from_any_directory(script, args, last, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith(last)
+
+
+def test_deck_digests_replace_the_deck_path(monkeypatch):
+    # the script puts src/ and perfbench/ on sys.path and stops bytecode writes
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("deck_digests", SCRIPTS / "deck_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    first = script.deck_digest("unique-perm", 1, 3)  # each call builds its deck afresh
+    assert first == script.deck_digest("unique-perm", 1, 3)
+    assert first[0] == 3 and len(first[1]) == 64
+    assert script.deck_digest("factor-mix", 1, 3)[0] == 3
