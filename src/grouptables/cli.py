@@ -97,10 +97,16 @@ def build_factor_list(tokens):
 
 
 def _read(path):
-    """The text of a group or map file; both formats are UTF-8.  At most
-    one character past the guard is read."""
+    """The text of a group or map file; both formats are UTF-8.  It is read
+    in pieces of at most 64 Ki characters, as one read of the whole guard
+    would reserve that much for a file of any size, and at most one
+    character past the guard is read."""
+    pieces, left = [], MAX_FILE_CHARS + 1
     with open(path, encoding="utf-8") as f:
-        text = f.read(MAX_FILE_CHARS + 1)
+        while left and (piece := f.read(min(left, 2**16))):
+            pieces.append(piece)
+            left -= len(piece)
+    text = "".join(pieces)
     if len(text) > MAX_FILE_CHARS:
         raise ResourceError(f"{path} exceeds the {MAX_FILE_CHARS}-character file guard")
     return text

@@ -295,15 +295,11 @@ def subgroup(g, roster):
 
 
 def subgroupp(h, g):
-    """Structural subgroup test: roster inside g, operation agreeing with g."""
-    if not isinstance(h, FiniteGroup):
+    """Structural subgroup test: h is the subgroup of g on h's roster."""
+    try:
+        return subgroup(g, h.roster) == h
+    except DomainError:
         return False
-    if any(x not in g for x in h.roster):
-        return False
-    if h.identity != g.identity:
-        return False
-    emb = np.array([g.index(x) for x in h.roster])
-    return np.array_equal(emb[h.table], g.table[emb][:, emb])
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +343,9 @@ def _elements(g, rows):
 
 
 def _coset_rows(h, g):
-    """Row x holds the g-indices of the left coset x*h in ascending order.
-
-    Each row of g's table is a permutation, so x*h has exactly |h| members,
-    and row x of the membership mask lists them in ascending order.
-    """
-    n = g.order
-    member = np.zeros((n, n), dtype=bool)
-    member[np.arange(n)[:, None], g.table[:, [g.index(y) for y in h.roster]]] = True
-    return np.nonzero(member)[1].reshape(n, h.order)
+    """Row x holds the g-indices of the left coset x*h in ascending order:
+    row x of g's table on h's columns, sorted."""
+    return np.sort(g.table[:, [g.index(y) for y in h.roster]], axis=1)
 
 
 def lcoset(x, h, g):
@@ -377,15 +367,11 @@ def lcosets(h, g):
 
 
 def normalp(h, g):
+    """h is normal in g: every left coset x*h is the right coset h*x."""
     if not subgroupp(h, g):
         raise DomainError("h is not a subgroup of g")
-    t, inv = g.table, g._powers[-2]  # inv[x] = x^(e-1)
-    emb = [g.index(y) for y in h.roster]
-    member = np.zeros(g.order, dtype=bool)
-    member[emb] = True
-    # conj[x, k] = x * (h_k * x^-1)
-    conj = np.take_along_axis(t, t[emb][:, inv].T, axis=1)
-    return bool(member[conj].all())
+    right = np.sort(g.table[[g.index(y) for y in h.roster]].T, axis=1)
+    return np.array_equal(_coset_rows(h, g), right)
 
 
 def quotient(g, n):

@@ -50,10 +50,11 @@ def parse_numerals(tokens):
 _TOKENS = re.compile(r"[()]|[^\s()]+")
 
 
-def parse_elements(text):
-    """All elements in a whitespace-separated, paren-aware label string, in
-    one pass with a stack of the open tuples: the first error is raised."""
-    out, open_tuples = [], []
+def _top_level_elements(text):
+    """The elements of a whitespace-separated, paren-aware label string, one
+    at a time, read in one pass with a stack of the open tuples: the first
+    error in token order is raised."""
+    open_tuples = []
     for m in _TOKENS.finditer(text):  # lazily: the depth guard runs before the rest is read
         t = m[0]
         if t == "(":
@@ -69,10 +70,17 @@ def parse_elements(text):
             x = parse_numerals([t])[0]
         else:
             x = t
-        (open_tuples[-1] if open_tuples else out).append(x)
+        if open_tuples:
+            open_tuples[-1].append(x)
+        else:
+            yield x
     if open_tuples:
         raise DomainError("unbalanced parenthesis in element text")
-    return out
+
+
+def parse_elements(text):
+    """All elements in a whitespace-separated, paren-aware label string."""
+    return list(_top_level_elements(text))
 
 
 def parse_element(text):
@@ -122,18 +130,25 @@ def _index_array(rows, n):
 _BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
+def _take(items, keep):
+    """(the first `keep` of an iterator's items, the number of them all)."""
+    head = list(islice(items, keep))
+    return head, len(head) + sum(1 for _ in items)
+
+
+_NON_BLANK = re.compile(r"^[^\S\n]*\S[^\n]*", re.M)
+
+
 def _non_blank_lines(text, keep):
     """(the first `keep` non-blank lines of text, the number of them all).
 
     Lines are those of str.splitlines and blank is str.strip's test, but
-    with every break made "\\n" the lines are matched one at a time, so an
-    over-long file is counted without a list of all its lines.
+    with every break made "\\n" only the non-blank lines are matched, one at
+    a time, so an over-long file is counted without a list of all its lines.
     """
     for ch in _BREAKS:
         text = text.replace(ch, "\n")
-    it = (m[0] for m in re.finditer("[^\n]+", text) if m[0].strip())
-    lines = list(islice(it, keep))
-    return lines, len(lines) + sum(1 for _ in it)
+    return _take((m[0] for m in _NON_BLANK.finditer(text)), keep)
 
 
 def parse_group(text):
@@ -153,9 +168,9 @@ def parse_group(text):
         raise ResourceError(f"group file order {n} exceeds the {MAX_ORDER} guard")
     if count != n + 2:
         raise DomainError(f"expected {n + 2} lines, got {count}")
-    roster = parse_elements(lines[1])
-    if len(roster) != n:
-        raise DomainError(f"expected {n} labels, got {len(roster)}")
+    roster, count = _take(_top_level_elements(lines[1]), n)  # the rest only counted
+    if count != n:
+        raise DomainError(f"expected {n} labels, got {count}")
     table = _index_array(lines[2:], n)
     if table is None:
         table = []

@@ -3,11 +3,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from grouptables.core import cyclic_group, symmetric_group
+from grouptables.core import FiniteGroup, cyclic_group, symmetric_group
 from grouptables.products import direct_product
 
 from oracles import all_subgroups, factor_multisets
@@ -46,6 +47,15 @@ def dp_cyclic_corpus(max_order, min_order=2):
         for ms in factor_multisets(n):
             out.append((ms, direct_product([cyclic_group(k) for k in ms])))
     return out
+
+
+def relabelled(g, rng):
+    """g on a shuffled roster, identity kept first, with the table carried
+    along: the same group presented in another order."""
+    perm = [0] + rng.sample(range(1, g.order), g.order - 1)  # new index -> old index
+    old_to_new = np.argsort(perm)
+    table = old_to_new[g.table[np.ix_(perm, perm)]]
+    return FiniteGroup(tuple(g.roster[i] for i in perm), table)
 
 
 @pytest.fixture(scope="session")

@@ -5,17 +5,19 @@ images, arithmetic is naive trial division, subgroup enumeration is closure
 from below, the group axioms are compared on full n^3 cubes of products,
 group files are read one character and one row at a time and their labels
 by recursive descent, element orders, powers and inverses are stepped or
-scanned on the table rather than read from its power table, the uniqueness
-contraction map is composed from three maps rather than built in one pass,
-and the p-group complement recurses with every level checked.
+scanned on the table rather than read from its power table, left cosets are
+read from a membership mask and normality from conjugates rather than both
+from sorted table columns, the uniqueness contraction map is composed from
+three maps rather than built in one pass, and the p-group complement
+recurses with every level checked.
 
 They are not yet free of the code under test: they build on the library's
-`abelianp`, `lcoset`, `lift`, `quotient`, `subgroup`, `trivial_subgroup`,
-`split_witness`, `cyclicp`, `group_power_list`, `delete_trivial`,
-`delete_trivial_elt`, `group_tuples`, `map_from_function`, `GroupMap`
-and `parse_numerals`, and on `FiniteGroup`'s `op`, `power` and
-`element_order`.  Replacing them with plain-list arithmetic is an open
-item on ROADMAP.md.
+`abelianp`, `lcoset`, `lift`, `quotient`, `subgroup`, `subgroupp`,
+`trivial_subgroup`, `split_witness`, `cyclicp`, `group_power_list`,
+`delete_trivial`, `delete_trivial_elt`, `group_tuples`, `map_from_function`,
+`GroupMap` and `parse_numerals`, and on `FiniteGroup`'s `op`, `power`,
+`element_order` and `_powers`.  Replacing them with plain-list arithmetic
+is an open item on ROADMAP.md.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from grouptables.core import (
     lift,
     quotient,
     subgroup,
+    subgroupp,
     trivial_subgroup,
 )
 from grouptables.errors import DomainError, ResourceError
@@ -170,6 +173,34 @@ def squared_group_power(n, g):
     hit = np.zeros(g.order, dtype=bool)
     hit[acc] = True
     return subgroup(g, tuple(g.roster[i] for i in np.flatnonzero(hit)))
+
+
+def masked_coset_rows(h, g):
+    """Row x holds the g-indices of the left coset x*h in ascending order,
+    read from an n x n membership mask: the library's former
+    core._coset_rows.
+
+    Each row of g's table is a permutation, so x*h has exactly |h| members,
+    and row x of the membership mask lists them in ascending order.
+    """
+    n = g.order
+    member = np.zeros((n, n), dtype=bool)
+    member[np.arange(n)[:, None], g.table[:, [g.index(y) for y in h.roster]]] = True
+    return np.nonzero(member)[1].reshape(n, h.order)
+
+
+def conjugated_normalp(h, g):
+    """Every conjugate x * (y * x^-1) of a member y of h lies in h: the
+    library's former core.normalp."""
+    if not subgroupp(h, g):
+        raise DomainError("h is not a subgroup of g")
+    t, inv = g.table, g._powers[-2]  # inv[x] = x^(e-1)
+    emb = [g.index(y) for y in h.roster]
+    member = np.zeros(g.order, dtype=bool)
+    member[emb] = True
+    # conj[x, k] = x * (h_k * x^-1)
+    conj = np.take_along_axis(t, t[emb][:, inv].T, axis=1)
+    return bool(member[conj].all())
 
 
 def tokenize_chars(text):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -211,6 +212,19 @@ def test_file_size_guard(verb, capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "MAX_FILE_CHARS", size - 1)
     assert main(args) == 1
     assert capsys.readouterr().err == f"error: {big} exceeds the {size - 1}-character file guard\n"
+
+
+def test_small_file_read_in_small_memory(tmp_path):
+    # one read of the whole guard reserved 16 MiB for this 1.5 KB map
+    f = tmp_path / "m.map"
+    f.write_text("".join(f"{i} -> {i}\n" for i in range(160)))
+    tracemalloc.start()
+    try:
+        assert cli._read(f) == f.read_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_file_size_guard_far_above_cayley_files(capsys):

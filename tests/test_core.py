@@ -1,8 +1,13 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from grouptables.core import (
+    FiniteGroup,
     GroupAxiomError,
+    _coset_rows,
     abelianp,
     check_group,
     cyclic,
@@ -24,8 +29,9 @@ from grouptables.core import (
 from grouptables.errors import DomainError
 from grouptables.products import direct_product
 
+from conftest import relabelled
 from lemmas import ord_insert, ordp
-from oracles import all_subgroups
+from oracles import all_subgroups, conjugated_normalp, generated_subgroup, masked_coset_rows
 
 
 @pytest.fixture(params=["z12", "z2xz4", "s3"])
@@ -33,6 +39,27 @@ def group_and_subgroups(request):
     """A small group with every one of its subgroups."""
     g = request.getfixturevalue(request.param)
     return g, all_subgroups(g)
+
+
+@pytest.fixture(scope="module")
+def coset_corpus(corpus_with_subgroups):
+    """(group, subgroups) for corpus_with_subgroups, for a relabelling of
+    each of its groups with the same subgroups, and for S5 with its cyclic
+    subgroups, a point stabilizer S4, a dihedral D5, A5 and S5 itself."""
+    rng = random.Random("cosets")
+    relabellings = []
+    for g, subs in corpus_with_subgroups:
+        rg = relabelled(g, rng)
+        relabellings.append((rg, [subgroup(rg, h.roster) for h in subs]))
+    s5 = symmetric_group(5)
+    cyclics = {frozenset(h.roster): h for h in (cyclic(a, s5) for a in s5.roster)}
+    generated = [generated_subgroup(s5, gens) for gens in (
+        [(1, 0, 2, 3, 4), (1, 2, 3, 0, 4)],  # fixes 4
+        [(1, 2, 3, 4, 0), (4, 3, 2, 1, 0)],
+        [(1, 2, 0, 3, 4), (0, 2, 3, 1, 4), (0, 1, 3, 4, 2)],  # 3-cycles
+        [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)],
+    )]
+    return corpus_with_subgroups + relabellings + [(s5, [*cyclics.values(), *generated])]
 
 
 class TestValidation:
@@ -183,6 +210,8 @@ class TestSubgroup:
         klein = validate_group(range(4), [[i ^ j for j in range(4)] for i in range(4)])
         pairs = [(h, k) for h in subs for k in subs + [g]]
         pairs += [(h, z4) for h in all_subgroups(klein)] + [(klein, z4), (z4, klein)]
+        rg = relabelled(g, random.Random(g.order))
+        pairs += [(h, rg) for h in subs] + [(subgroup(rg, h.roster), g) for h in subs]
         for h, k in pairs:
             expected = (
                 all(x in k for x in h.roster)
@@ -190,6 +219,10 @@ class TestSubgroup:
                 and all(h.op(x, y) == k.op(x, y) for x in h.roster for y in h.roster)
             )
             assert subgroupp(h, k) == expected
+
+    def test_subgroupp_of_empty_roster_is_false(self, group_and_subgroups):
+        g, _ = group_and_subgroups
+        assert not subgroupp(FiniteGroup((), np.zeros((0, 0))), g)
 
 
 @given(st.permutations([0, 1, 2, 3]))
@@ -231,14 +264,15 @@ class TestCosets:
             )
             assert all(len(c) == h.order for c in cos)
 
-    def test_cosets_match_definition(self, corpus_with_subgroups):
-        # S3 and S4 bring non-normal subgroups, whose left cosets differ from
-        # their right cosets
-        for g, subs in corpus_with_subgroups:
+    def test_cosets_match_definition(self, coset_corpus):
+        # S3, S4 and S5 bring non-normal subgroups, whose left cosets differ
+        # from their right cosets
+        for g, subs in coset_corpus:
             for h in subs:
                 cosets, distinct = coset_definition(h, g)
                 assert all(lcoset(x, h, g) == c for x, c in cosets.items())
                 assert lcosets(h, g) == distinct
+                assert np.array_equal(_coset_rows(h, g), masked_coset_rows(h, g))
 
 
 class TestNormalQuotient:
@@ -268,10 +302,16 @@ class TestNormalQuotient:
 
     def test_normalp_matches_definition(self, group_and_subgroups):
         g, subs = group_and_subgroups
-        for h in subs:
-            assert normalp(h, g) == all(
-                g.op(x, g.op(y, g.inv(x))) in h for x in g.roster for y in h.roster
+        rg = relabelled(g, random.Random(g.order))
+        for k, h in [(g, h) for h in subs] + [(rg, subgroup(rg, h.roster)) for h in subs]:
+            assert normalp(h, k) == all(
+                k.op(x, k.op(y, k.inv(x))) in h for x in k.roster for y in h.roster
             )
+
+    def test_normalp_matches_the_conjugation_reference(self, coset_corpus):
+        for g, subs in coset_corpus:
+            for h in subs:
+                assert normalp(h, g) == conjugated_normalp(h, g)
 
     def test_quotient_table_is_coset_operation(self, group_and_subgroups):
         g, subs = group_and_subgroups

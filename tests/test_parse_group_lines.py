@@ -3,6 +3,7 @@ str.splitlines with the blank ones dropped, matched one at a time once
 every break is made "\\n", so that a group file far longer than its
 header allows, or a map file of more than MAX_ORDER pairs, is rejected
 without a list of all its lines."""
+import time
 import tracemalloc
 
 import pytest
@@ -41,6 +42,30 @@ def test_over_long_file_rejected_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_one_long_blank_line_counted_in_linear_time():
+    # a line regex that backtracked across the whole line would take hours
+    start = time.perf_counter()
+    assert _non_blank_lines(" \t" * (MAX_FILE_CHARS // 2), 1) == ([], 0)
+    assert time.perf_counter() - start < 2
+
+
+def test_over_long_roster_rejected_in_bounded_memory():
+    # headed `group 2`, with a quarter of a million labels: keeping them
+    # all before the count check took about 10 MB more than the copy of the
+    # roster line, and a full 16 MiB roster line of 2.2 M labels 80 MB more
+    labels = 2**18
+    roster = " ".join(map(str, range(labels)))
+    text = f"group 2\n{roster}\n0 1\n1 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=rf"^expected 2 labels, got {labels}$"):
+            parse_group(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(roster) + 2**20
 
 
 def test_map_line_guard_comes_before_labels():

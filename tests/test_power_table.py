@@ -12,10 +12,11 @@ import random
 import numpy as np
 import pytest
 
-from grouptables.core import FiniteGroup, abelianp, cyclic_group, powers, symmetric_group
+from grouptables.core import abelianp, cyclic_group, powers, symmetric_group
 from grouptables.products import direct_product
 from grouptables.uniqueness import group_power
 
+from conftest import relabelled
 from oracles import (
     prime_power_multisets,
     scanned_inv,
@@ -28,15 +29,6 @@ from oracles import (
 ABELIAN = {"x".join(f"Z{q}" for q in ms): direct_product([cyclic_group(q) for q in ms])
            for n in range(2, 65) for ms in prime_power_multisets(n)}
 SYMMETRIC = {f"S{k}": symmetric_group(k) for k in (3, 4, 5)}
-
-
-def relabelled(g, rng):
-    """g on a shuffled roster, identity kept first, with the table carried
-    along: the same group presented in another order."""
-    perm = [0] + rng.sample(range(1, g.order), g.order - 1)  # new index -> old index
-    old_to_new = np.argsort(perm)
-    table = old_to_new[g.table[np.ix_(perm, perm)]]
-    return FiniteGroup(tuple(g.roster[i] for i in perm), table)
 
 
 def _relabellings():
