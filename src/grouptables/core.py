@@ -158,10 +158,13 @@ def check_group(roster, table):
             if x in seen:
                 return AxiomViolation("roster", (x,))
             seen.add(x)
-    try:
-        shaped = len(table) == n and all(len(row) == n for row in table)
-    except TypeError:  # a table or row without a length, e.g. an int
-        shaped = False
+    if isinstance(table, np.ndarray) and table.ndim == 2:
+        shaped = table.shape == (n, n)
+    else:
+        try:
+            shaped = len(table) == n and all(len(row) == n for row in table)
+        except TypeError:  # a table or row without a length, e.g. an int
+            shaped = False
     if not shaped:
         return AxiomViolation("shape", (n,))
     t, bad = _index_entries(table, n)
@@ -186,15 +189,18 @@ def check_group(roster, table):
 
 
 def _index_entries(table, n):
-    """(t, None) with t the n x n intp array of the table's entries, or
+    """(t, None) with t the n x n index array of the table's entries, or
     (None, k) with k the row-major position of the first entry that is not
     an integer index below n.
 
-    A 2-D integer array (parse_group's plain tables) is typed by its dtype.
-    Other entries are typed one by one, not through np.array, which would
-    turn [0, True] into int64 silently.
+    A 2-D integer array (parse_group's plain tables) is typed by its dtype,
+    range-checked by its least and greatest entries and, if already of the
+    index dtype, not copied.  Other entries are typed one by one, not
+    through np.array, which would turn [0, True] into int64 silently.
     """
     if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype.kind in "iu":
+        if table.min() >= 0 and table.max() < n:
+            return table.astype(_index_dtype(n), copy=False), None
         entries = table.ravel()
         stop = entries.size
     else:
@@ -213,7 +219,13 @@ def _index_entries(table, n):
         return None, int(outside[0])
     if stop < n * n:
         return None, stop
-    return entries.astype(np.intp).reshape(n, n), None
+    return entries.astype(_index_dtype(n)).reshape(n, n), None
+
+
+def _index_dtype(n):
+    """int16, the dtype of FiniteGroup tables, where it holds every index
+    below n: the n x n products of check_group then take 2 bytes each."""
+    return np.int16 if n <= 2**15 else np.intp
 
 
 def _magma_generators(t):
@@ -249,10 +261,12 @@ def _first_non_associative(t):
 
     Rows i are scanned in blocks that double from one row up to about 2^20
     triples, since a damaged group table tends to fail in its first rows.
+    Row 0 is not scanned: t is checked to have the identity row and column
+    first, and an identity element associates with any two.
     """
     n = len(t)
     cap = max(1, (1 << 20) // (n * n))
-    i0, rows = 0, 1
+    i0, rows = 1, 1
     while i0 < n:
         block = t[i0:i0 + rows]
         bad = np.argwhere(t[block] != block[:, t])
@@ -366,19 +380,26 @@ def lcosets(h, g):
     return _elements(g, rows[rows[:, 0] == np.arange(g.order)])  # first in their coset
 
 
-def normalp(h, g):
-    """h is normal in g: every left coset x*h is the right coset h*x."""
+def _normal_coset_rows(h, g):
+    """_coset_rows(h, g) if h is normal in g, else None: h is normal when
+    every left coset x*h is the right coset h*x."""
     if not subgroupp(h, g):
         raise DomainError("h is not a subgroup of g")
+    rows = _coset_rows(h, g)
     right = np.sort(g.table[[g.index(y) for y in h.roster]].T, axis=1)
-    return np.array_equal(_coset_rows(h, g), right)
+    return rows if np.array_equal(rows, right) else None
+
+
+def normalp(h, g):
+    """h is normal in g: every left coset x*h is the right coset h*x."""
+    return _normal_coset_rows(h, g) is not None
 
 
 def quotient(g, n):
     """The quotient group g/n: elements are the cosets of the normal n."""
-    if not normalp(n, g):
+    rows = _normal_coset_rows(n, g)
+    if rows is None:
         raise DomainError("quotient requires a normal subgroup")
-    rows = _coset_rows(n, g)
     is_rep = rows[:, 0] == np.arange(g.order)  # x is the first of its coset
     reps = np.flatnonzero(is_rep)
     home = (np.cumsum(is_rep) - 1)[rows[:, 0]]  # parent index -> coset index

@@ -5,11 +5,17 @@ Group file: line 1 is `group <n>`; line 2 holds the n element labels
 indices.  Structured elements print as parenthesized tuples, e.g. `(0 1)`,
 so label tokenization is paren-aware.  parse(print(g)) round-trips exactly.
 
-A plain table (ASCII digits and blanks, n numerals per row, every entry
-below n) is read at once into an n x n integer array of indices, which
-check_group types by its dtype; any other table is read row by row into
-tuples, and that loop alone reports bad rows and numerals too long to
-convert.
+A plain file is read in one pass over its bytes into an n x n int16 array
+of indices, which check_group types by its dtype.  After the header it
+holds only ASCII digits, blanks and line breaks, but for a roster line of
+other labels, which is tokenized on its span of the text; its digit runs
+are found once and give the rows, the 18-digit cap and the values.  The
+pass declines a file that is not ASCII, is longer than 32 (n + 1)^2
+characters, holds any other byte among its numeral lines, has a roster
+line that does not read as n labels, or has a row that is not n numerals
+of at most 18 digits, each below n.  Such a file is read line by line from
+the spans of its non-blank lines, the table row by row into tuples, and
+that reading alone reports errors.
 
 Map file: one `x -> y` line per pair, with the same label syntax, split at
 a bare `->` between two labels or else the first `->`; at most MAX_ORDER pairs.
@@ -50,12 +56,13 @@ def parse_numerals(tokens):
 _TOKENS = re.compile(r"[()]|[^\s()]+")
 
 
-def _top_level_elements(text):
-    """The elements of a whitespace-separated, paren-aware label string, one
-    at a time, read in one pass with a stack of the open tuples: the first
-    error in token order is raised."""
+def _top_level_elements(text, start, end):
+    """The elements of a whitespace-separated, paren-aware label string
+    text[start:end], one at a time, read in one pass with a stack of the
+    open tuples: the first error in token order is raised."""
     open_tuples = []
-    for m in _TOKENS.finditer(text):  # lazily: the depth guard runs before the rest is read
+    # lazily: the depth guard runs before the rest is read
+    for m in _TOKENS.finditer(text, start, end):
         t = m[0]
         if t == "(":
             if len(open_tuples) >= MAX_DEPTH:
@@ -80,7 +87,7 @@ def _top_level_elements(text):
 
 def parse_elements(text):
     """All elements in a whitespace-separated, paren-aware label string."""
-    return list(_top_level_elements(text))
+    return list(_top_level_elements(text, 0, len(text)))
 
 
 def parse_element(text):
@@ -100,30 +107,103 @@ def print_group(g):
 
 _MAX_DIGITS = 18  # int64 holds every 18-digit numeral; int() converts them all
 
+# the header of a plain file and the blanks up to its roster line
+_PLAIN_HEAD = re.compile(r"[ \t\r\n]*group[ \t]+([0-9]{1,18})[ \t]*[\r\n][ \t\r\n]*")
+# characters per numeral in a plain file: room for long numerals and blanks,
+# while the pass's byte arrays stay within a small multiple of n^2
+_PLAIN_CHARS = 32
+_NUMERAL_LINE = re.compile(r"[0-9 \t]*")
+_LINE_END = re.compile(r"[\r\n\v\f\x1c-\x1e]|\Z")
+# each byte's class in a plain file's numeral lines: 0 for a byte that makes
+# the file not plain, 1 for " " and "\t", 2 for "\r" and "\n", 3 for a digit
+_BYTE_CLASS = bytes(3 if 48 <= c <= 57 else 2 if c in (10, 13) else 1 if c in (9, 32) else 0
+                    for c in range(256))
 
-def _index_array(rows, n):
-    """The n rows as an n x n int64 array, or None unless every row is n
-    ASCII numerals of at most 18 digits between blanks, each below n."""
-    body = "\n".join(rows)
-    if not body.isascii():
+
+def _numeral_values(b, ends):
+    """The values of the numerals of the byte array b whose last digits lie
+    at the positions `ends`, written over `ends`, or None if one has more
+    than _MAX_DIGITS digits.
+
+    The k-th digit from the end of every numeral is read at once, as 0 once
+    a numeral has run out of digits, until all have run out; then the
+    digits are summed most significant first, in place.
+    """
+    places, alive = [], np.ones(len(ends), dtype=bool)
+    while True:
+        digits = np.take(b, ends, mode="wrap")  # a numeral at byte 0 has run out already
+        digits -= ord("0")  # uint8: bytes below "0" wrap past 9
+        alive &= digits < 10
+        if not alive.any():
+            break
+        if len(places) == _MAX_DIGITS:
+            return None
+        digits *= alive
+        places.append(digits)
+        ends -= 1
+    values = ends
+    values[:] = places.pop()
+    for digits in reversed(places):
+        values *= 10
+        values += digits
+    return values
+
+
+def _plain_group(text):
+    """(roster, table) of a plain group file read in one byte pass, or None
+    where the file is not plain.
+
+    A plain file is ASCII and at most _PLAIN_CHARS (n + 1)^2 characters
+    long.  After its `group n` header it holds only digits, blanks (" ",
+    "\t") and line breaks ("\r", "\n"), but for its roster line, which may
+    hold any labels and is then tokenized on its span of the text.  Each of
+    its n table lines holds n numerals of at most 18 digits, every one below
+    n.  The digit runs are found once; they give the lines, the digit cap and
+    the values, those of the roster too when it is all numerals.
+    """
+    head = _PLAIN_HEAD.match(text) if text.isascii() else None
+    if head is None:
         return None
-    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    digit = b - ord("0") < 10  # uint8: bytes below "0" wrap past 10
-    newline = b == ord("\n")
-    if not (digit | newline | (b == ord(" ")) | (b == ord("\t"))).all():
+    n = int(head[1])
+    if not 0 < n <= MAX_ORDER or len(text) > _PLAIN_CHARS * (n + 1) ** 2:
         return None
-    padded = np.concatenate(([False], digit, [False]))
-    starts, ends = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2).T
-    if len(starts) != n * n or (ends - starts).max() > _MAX_DIGITS:
+    start = head.end()
+    roster_end = _LINE_END.search(text, start).start()
+    labels = None
+    if not _NUMERAL_LINE.fullmatch(text, start, roster_end):
+        try:
+            labels, count = _take(_top_level_elements(text, start, roster_end), n)
+        except (DomainError, ResourceError):
+            return None
+        if count != n:
+            return None
+        start = roster_end
+    data = text.encode("ascii")
+    classes = np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)[start:]
+    if not classes.all():
         return None
-    # n numerals per row: the k-th row break has k * n numerals before it
-    if not np.array_equal(np.searchsorted(starts, np.flatnonzero(newline)),
-                          np.arange(n, n * n, n)):
+    breaks = np.flatnonzero(classes == 2)
+    digit = classes == 3
+    del classes
+    ends = np.flatnonzero(digit[:-1] > digit[1:])
+    if digit[-1:].any():  # a numeral ends the file
+        ends = np.append(ends, len(digit) - 1)
+    del digit
+    numerals = n * n if labels is not None else n * (n + 1)
+    # n numerals on each non-blank line: count those before each break
+    per_line = np.diff(np.searchsorted(ends, breaks), prepend=0, append=len(ends))
+    if len(ends) != numerals or ((per_line != 0) & (per_line != n)).any():
         return None
-    t = np.fromstring(body, dtype=np.int64, sep=" ")
-    if (t >= n).any():
+    ends += start
+    values = _numeral_values(np.frombuffer(data, dtype=np.uint8), ends)
+    if values is None:
         return None
-    return t.reshape(n, n)
+    table = values[numerals - n * n:].reshape(n, n)
+    if table.max() >= n:
+        return None
+    if labels is None:
+        labels = values[:n].tolist()
+    return tuple(labels), table.astype(np.int16)
 
 
 # the line breaks of str.splitlines other than "\n"
@@ -139,48 +219,58 @@ def _take(items, keep):
 _NON_BLANK = re.compile(r"^[^\S\n]*\S[^\n]*", re.M)
 
 
-def _non_blank_lines(text, keep):
-    """(the first `keep` non-blank lines of text, the number of them all).
+def _non_blank_matches(text, keep):
+    """(the matches of the first `keep` non-blank lines of text, the number
+    of them all).
 
     Lines are those of str.splitlines and blank is str.strip's test, but
     with every break made "\\n" only the non-blank lines are matched, one at
     a time, so an over-long file is counted without a list of all its lines.
+    A line is read from its match's span, so none is copied.
     """
     for ch in _BREAKS:
         text = text.replace(ch, "\n")
-    return _take((m[0] for m in _NON_BLANK.finditer(text)), keep)
+    return _take(_NON_BLANK.finditer(text), keep)
+
+
+def _non_blank_lines(text, keep):
+    """(the first `keep` non-blank lines of text, the number of them all)."""
+    found, count = _non_blank_matches(text, keep)
+    return [m[0] for m in found], count
 
 
 def parse_group(text):
     """Parse a group file into (roster, table) without validating axioms.
 
-    The table is an n x n int64 array when the rows are plain (see
-    _index_array), and a tuple of row tuples of ints otherwise.
+    The table is an n x n int16 array when the file is plain (see
+    _plain_group), and a tuple of row tuples of ints otherwise.  Only this
+    line-by-line reading of a file that is not plain reports errors.
     """
-    lines, count = _non_blank_lines(text, MAX_ORDER + 2)
+    plain = _plain_group(text)
+    if plain is not None:
+        return plain
+    lines, count = _non_blank_matches(text, MAX_ORDER + 2)
     if not lines:
         raise DomainError("empty group file")
-    head = lines[0].split()
+    head = lines[0][0].split()
     if len(head) != 2 or head[0] != "group" or not head[1].isdecimal():
-        raise DomainError(f"bad header line: {lines[0]!r}")
+        raise DomainError(f"bad header line: {lines[0][0]!r}")
     n = parse_numerals([head[1]])[0]
     if n > MAX_ORDER:
         raise ResourceError(f"group file order {n} exceeds the {MAX_ORDER} guard")
     if count != n + 2:
         raise DomainError(f"expected {n + 2} lines, got {count}")
-    roster, count = _take(_top_level_elements(lines[1]), n)  # the rest only counted
+    # the labels past the n-th are only counted
+    roster, count = _take(_top_level_elements(lines[1].string, *lines[1].span()), n)
     if count != n:
         raise DomainError(f"expected {n} labels, got {count}")
-    table = _index_array(lines[2:], n)
-    if table is None:
-        table = []
-        for ln in lines[2:]:
-            row = ln.split()
-            if len(row) != n or not all(map(str.isdecimal, row)):
-                raise DomainError(f"bad table row: {ln!r}")
-            table.append(parse_numerals(row))
-        table = tuple(table)
-    return tuple(roster), table
+    table = []
+    for m in lines[2:]:
+        row = m[0].split()
+        if len(row) != n or not all(map(str.isdecimal, row)):
+            raise DomainError(f"bad table row: {m[0]!r}")
+        table.append(parse_numerals(row))
+    return tuple(roster), tuple(table)
 
 
 def load_group(text):

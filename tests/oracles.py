@@ -4,8 +4,9 @@ Isomorphism search is raw backtracking over element bijections or generator
 images, arithmetic is naive trial division, subgroup enumeration is closure
 from below, the group axioms are compared on full n^3 cubes of products,
 group files are read one character and one row at a time and their labels
-by recursive descent, element orders, powers and inverses are stepped or
-scanned on the table rather than read from its power table, left cosets are
+by recursive descent, plain tables by np.fromstring on their joined rows,
+element orders, powers and inverses are stepped or scanned on the table
+rather than read from its power table, left cosets are
 read from a membership mask and normality from conjugates rather than both
 from sorted table columns, the uniqueness contraction map is composed from
 three maps rather than built in one pass, and the p-group complement
@@ -286,6 +287,33 @@ def parse_group_rows(text):
             raise DomainError(f"bad table row: {ln!r}")
         table.append(parse_numerals(row))
     return tuple(roster), tuple(table)
+
+
+def fromstring_index_array(rows, n):
+    """The n rows as an n x n int64 array, or None unless every row is n
+    ASCII numerals of at most 18 digits between blanks, each below n: the
+    library's former fileformat._index_array, which joins the rows, finds
+    their digit runs and has np.fromstring parse the joined text again."""
+    body = "\n".join(rows)
+    if not body.isascii():
+        return None
+    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    digit = b - ord("0") < 10  # uint8: bytes below "0" wrap past 10
+    newline = b == ord("\n")
+    if not (digit | newline | (b == ord(" ")) | (b == ord("\t"))).all():
+        return None
+    padded = np.concatenate(([False], digit, [False]))
+    starts, ends = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2).T
+    if len(starts) != n * n or (ends - starts).max() > 18:
+        return None
+    # n numerals per row: the k-th row break has k * n numerals before it
+    if not np.array_equal(np.searchsorted(starts, np.flatnonzero(newline)),
+                          np.arange(n, n * n, n)):
+        return None
+    t = np.fromstring(body, dtype=np.int64, sep=" ")
+    if (t >= n).any():
+        return None
+    return t.reshape(n, n)
 
 
 def delete_trivial_iso(l):

@@ -8,9 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grouptables.core import _magma_generators, check_group, cyclic_group
+from grouptables.core import (
+    _first_non_associative,
+    _index_entries,
+    _magma_generators,
+    check_group,
+    cyclic_group,
+)
 from grouptables.products import direct_product
 
+from conftest import relabelled
 from oracles import check_group_cubes
 
 
@@ -211,3 +218,55 @@ def test_memory_is_quadratic(nested):
 def test_roster_and_shape_kinds(roster, table, kind, witness):
     v = check_group(roster, table)
     assert (v.kind, v.witness) == (kind, witness)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.intp, np.uint8, np.int64])
+@pytest.mark.parametrize("shape", [(4, 5), (5, 4), (4, 4, 1)])
+def test_array_of_another_shape(dtype, shape):
+    table = np.zeros(shape, dtype=dtype)
+    v = check_group(range(4), table)
+    assert v.kind == "shape" if len(shape) == 2 else v.kind == "closure"
+    assert verdict(range(4), table) == check_group_cubes(range(4), table)
+
+
+def test_bool_array_fails_closure():
+    table = cyclic_group(4).table == 0
+    assert verdict(range(4), table) == ("closure", (0, 0, table[0][0]))
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.intp])
+def test_index_array_is_not_copied(dtype):
+    table = np.array(cyclic_group(6).table, dtype=dtype)
+    t, bad = _index_entries(table, 6)
+    assert bad is None and (t is table) == (dtype is np.int16)
+    t, bad = _index_entries(table, 5)
+    assert t is None and bad == int(np.argmax(table.ravel() >= 5))
+
+
+@pytest.mark.parametrize("bad, witness", [(-1, -1), (6, 6), (2**40, 2**40)])
+def test_array_entries_out_of_range(bad, witness):
+    table = cyclic_group(6).table.astype(np.int64)
+    table[3, 2] = bad
+    v = check_group(range(6), table)
+    assert (v.kind, v.witness) == ("closure", (3, 2, witness))
+
+
+def test_witness_scan_from_row_one_matches_cubes(corpus_with_subgroups):
+    # damage that keeps the identity row and column: the scan skips row 0,
+    # as an identity associates with any two elements
+    rng = random.Random(15)
+    checked = 0
+    for g, _ in corpus_with_subgroups:
+        if g.order < 3:
+            continue
+        g = relabelled(g, rng)
+        for count in (1, 2, 3):
+            table = np.array(g.table)
+            for _ in range(count):
+                i, j = rng.randrange(1, g.order), rng.randrange(1, g.order)
+                table[i, j] = rng.randrange(g.order)
+            want = check_group_cubes(range(g.order), table.tolist())
+            if want is not None and want[0] == "associativity":
+                assert _first_non_associative(table) == want[1]
+                checked += 1
+    assert checked > 50

@@ -9,18 +9,34 @@ code, stdout and stderr either way.
 """
 import contextlib
 import io
+import random
 import re
+import tracemalloc
 from unittest import mock
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grouptables import cli
 from grouptables.core import MAX_DEPTH, cyclic, cyclic_group, quotient, symmetric_group
-from grouptables.fileformat import _TOKENS, parse_elements, parse_group, print_group
+from grouptables.fileformat import (
+    _TOKENS,
+    _plain_group,
+    parse_elements,
+    parse_group,
+    print_group,
+)
 from grouptables.products import direct_product
 
-from oracles import parse_elements_recursive, parse_group_rows, tokenize_chars
+from conftest import relabelled
+from oracles import (
+    fromstring_index_array,
+    parse_elements_recursive,
+    parse_group_rows,
+    tokenize_chars,
+)
 
 Z4 = cyclic_group(4)
 BASES = {
@@ -112,7 +128,48 @@ def hand_cases():
         "long-last-row": render(z12, last),
         "order-1-damaged": with_cells(BASES["z1"], {(0, 0): "1"}),
     })
+    cases.update(head_and_roster_cases())
     return cases
+
+
+def with_head(g, head=None, roster=None, gap="\n", extra=(), eol="\n"):
+    """g printed with its header or roster line replaced, `gap` after the
+    header and `extra` rows after the table."""
+    printed_head, printed_roster, *rows = print_group(g).splitlines()
+    head = printed_head if head is None else head
+    roster = printed_roster if roster is None else roster
+    return head + gap + eol.join([roster, *rows, *extra]) + eol
+
+
+def head_and_roster_cases():
+    z6, z2xz2 = BASES["z6"], BASES["z2xz2"]
+    return {
+        "roster-leading-zeros": with_head(z6, roster="0 01 002 0003 4 05"),
+        "roster-leading-zeros-duplicate": with_head(z6, roster="0 1 2 3 4 01"),
+        "roster-18-digits": with_head(z6, roster="0 1 2 3 4 " + "0" * 17 + "5"),
+        "roster-18-nines": with_head(z6, roster="0 1 2 3 4 " + "9" * 18),
+        "roster-19-digits": with_head(z6, roster="0 1 2 3 4 " + "0" * 18 + "5"),
+        "roster-19-nines": with_head(z6, roster="0 1 2 3 4 " + "9" * 19),
+        "roster-5000-digits": with_head(z6, roster="0 1 2 3 4 " + "9" * 5000),
+        "roster-5000-digits-leading-zeros": with_head(z6, roster="0 1 2 3 4 " + "0" * 4999 + "5"),
+        "tuple-labels-plain-table": render(z2xz2, cells(z2xz2), sep="\t", eol="\r\n"),
+        "symbol-labels-plain-table": with_head(z6, roster="e a b c d f"),
+        "blank-lines-before-roster": with_head(z6, gap="\n\n \t\n"),
+        "bare-cr-before-roster": with_head(z6, gap="\r\r"),
+        "bare-cr-everywhere": with_head(z6, gap="\r", eol="\r"),
+        "group-0256": with_head(cyclic_group(256), head="group 0256"),
+        "group-06": with_head(z6, head="group 06"),
+        "header-blanks": with_head(z6, head=" group\t 6 \t"),
+        "header-form-feed": with_head(z6, head="group 6\x0c"),
+        "one-line-too-many": with_head(z6, extra=["0 1 2 3 4 5"]),
+        "one-blank-line-more": with_head(z6, extra=[" \t"]),
+        "one-label-too-many": with_head(z6, roster="0 1 2 3 4 5 6"),
+        "one-label-too-few": with_head(z6, roster="0 1 2 3 4"),
+        "roster-unbalanced": with_head(z6, roster="0 1 2 3 4 (5"),
+        "roster-vertical-tab": with_head(z6, roster="0 1 2\x0b3 4 5"),
+        "roster-unit-separator": with_head(z6, roster="0 1 2\x1f3 4 5"),
+        "roster-non-ascii": with_head(z6, roster="0 1 2 3 4 \u03b5"),
+    }
 
 
 HAND_CASES = hand_cases()
@@ -139,10 +196,17 @@ def odd_tokens(n):
             "9" * 5000, "0" * 5000 + "1"]
 
 
+def odd_labels(n):
+    return ["00", "0" * 17 + "1", "0" * 18 + "1", "9" * 18, "9" * 19, "9" * 5000,
+            str(n), "(1)", "(1", "x", "-1", "٣", ""]
+
+
 @st.composite
-def damaged_texts(draw):
+def damaged_texts(draw, heads=True):
     """A printed base group with up to three cells replaced, by other
-    indices or by odd tokens, and its rows reformatted."""
+    indices or by odd tokens, and its rows reformatted; with `heads`, its
+    header, roster line and the blank lines between them varied too, and
+    at times one row more."""
     g = BASES[draw(st.sampled_from(sorted(BASES)))]
     n = g.order
     rows = cells(g)
@@ -155,13 +219,57 @@ def damaged_texts(draw):
     k = draw(st.integers(0, n - 1))
     lines[k] = draw(st.sampled_from(BLANKS)).join(rows[k])
     eol = draw(st.sampled_from(["\n", "\r\n", "\n\n", "\r"]))
-    return eol.join(print_group(g).splitlines()[:2] + lines) + eol
+    head, roster = print_group(g).splitlines()[:2]
+    if not heads:
+        return eol.join([head, roster] + lines) + eol
+    head = draw(st.sampled_from([head, f"group 0{n}", f" group\t{n} ", f"group {n + 1}"]))
+    if all(map(str.isdecimal, labels := roster.split())):
+        for _ in range(draw(st.integers(0, 2))):
+            labels[draw(st.integers(0, n - 1))] = draw(st.sampled_from(odd_labels(n)))
+        roster = draw(st.sampled_from([" ", "\t", "  "])).join(labels)
+    if draw(st.booleans()):
+        lines.append(sep.join(rows[0]))
+    gap = draw(st.sampled_from(["", "\n", "\r", " \t\n", "\r\n\r\n"]))
+    return head + eol + gap + eol.join([roster] + lines) + eol
 
 
 @settings(max_examples=300, deadline=None)
 @given(damaged_texts())
 def test_damaged_texts_match_rows(tmp_path_factory, text):
     assert_same(text, tmp_path_factory.getbasetemp() / "damaged.grp")
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_texts(heads=False))
+def test_plain_tables_match_fromstring(text):
+    # the byte pass against the former joined-rows parse, which np.fromstring
+    # finished: the same tables, and the same files left to the line reader
+    n = int(text.split()[1])
+    want = fromstring_index_array([ln for ln in text.splitlines() if ln.strip()][2:], n)
+    got = _plain_group(text)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[1].tolist() == want.tolist()
+        assert got[0] == outcome(parse_group_rows, text)[0]
+
+
+def test_order_256_parse_peak():
+    # the joined-rows parse peaked at 3.0 MB here; the byte pass keeps one
+    # copy of the text, its byte classes and the digit-run ends at a time
+    rng = random.Random(256)
+    g = relabelled(direct_product([cyclic_group(4), cyclic_group(64)]), rng)
+    numeral_roster = " ".join(map(str, rng.sample(range(2560), 256)))
+    texts = [print_group(g), with_head(g, roster=numeral_roster),
+             print_group(direct_product([cyclic_group(2)] * 8))]
+    for text in texts:
+        tracemalloc.start()
+        try:
+            roster, table = parse_group(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(table, np.ndarray) and table.shape == (256, 256)
+        assert peak < 2 * 2**20
 
 
 def test_regex_blank_is_str_isspace():

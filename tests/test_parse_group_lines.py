@@ -68,6 +68,22 @@ def test_over_long_roster_rejected_in_bounded_memory():
     assert peak < len(roster) + 2**20
 
 
+def test_roster_line_is_read_from_its_span():
+    # the roster line is tokenized where it lies in the text: a copy of this
+    # 1.8 MB line, as each kept line once was, would take more than the bound
+    labels = 2**18
+    roster = " ".join(map(str, range(labels)))
+    text = f"group 2\n{roster}\n0 1\n1 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=rf"^expected 2 labels, got {labels}$"):
+            parse_group(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(roster) // 4
+
+
 def test_map_line_guard_comes_before_labels():
     # every line is a bad label, but only the count is read
     with pytest.raises(ResourceError, match=rf"^map file has {MAX_ORDER + 1} non-blank "
