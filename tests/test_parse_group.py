@@ -15,7 +15,6 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -254,8 +253,8 @@ def test_plain_tables_match_fromstring(text):
 
 
 def test_order_256_parse_peak():
-    # the joined-rows parse peaked at 3.0 MB here; the byte pass keeps one
-    # copy of the text, its byte classes and the digit-run ends at a time
+    # the joined-rows parse peaked at 3.0 MB; the byte pass holds the text's
+    # bytes, their classes and the digit-run ends, and sums in place
     rng = random.Random(256)
     g = relabelled(direct_product([cyclic_group(4), cyclic_group(64)]), rng)
     numeral_roster = " ".join(map(str, rng.sample(range(2560), 256)))
