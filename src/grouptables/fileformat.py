@@ -131,7 +131,7 @@ def _numeral_values(b, ends):
     """
     places, alive = [], np.ones(len(ends), dtype=bool)
     while True:
-        digits = np.take(b, ends, mode="wrap")  # a numeral at byte 0 has run out already
+        digits = np.take(b, ends, mode="wrap")  # a numeral that ran out may step past byte 0
         digits -= ord("0")  # uint8: bytes below "0" wrap past 9
         alive &= digits < 10
         if not alive.any():
