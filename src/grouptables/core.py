@@ -143,10 +143,10 @@ def check_group(roster, table):
     The axioms are checked in the order roster, shape, closure, identity
     row, identity column, associativity, inverse.  Associativity is decided
     by Light's test in O(n^2) memory: (x*s)*y = x*(s*y) for every x and y,
-    but only for s in a set that generates the table as a magma, since the
-    elements s that pass are closed under the operation.  On failure the
-    table is rescanned in row blocks for the lexicographically first
-    failing triple.
+    for s in a magma generating set; each s is tested when it is picked, and
+    right multiplication by those that passed, which are closed under the
+    operation, closes them in O(n |generators|) steps.  On failure the table
+    is rescanned in row blocks for the lexicographically first failing triple.
     """
     roster = tuple(roster)
     n = len(roster)
@@ -177,7 +177,7 @@ def check_group(roster, table):
     if not np.array_equal(t[:, 0], np.arange(n)):
         i = int(np.nonzero(t[:, 0] != np.arange(n))[0][0])
         return AxiomViolation("identity-column", (roster[i],))
-    if not all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in _magma_generators(t)):
+    if _light_generators(t) is None:
         i, j, k = _first_non_associative(t)
         return AxiomViolation("associativity", (roster[i], roster[j], roster[k]))
     # in a finite monoid x*y = identity implies y*x = identity, so a row
@@ -228,31 +228,24 @@ def _index_dtype(n):
     return np.int16 if n <= 2**15 else np.intp
 
 
-def _magma_generators(t):
-    """Indices that, with the identity, generate the table t as a magma.
-
-    The closure starts as {identity}; each round adds the first index not
-    yet inside as a generator and closes again under all products, taking
-    only the new frontier against the members.  No associativity is
-    assumed, so the result also holds for tables that are no group.
-    """
-    n = len(t)
-    inside = np.zeros(n, dtype=bool)
-    inside[0] = True
-    gens = []
-    while not inside.all():
-        s = int(np.argmin(inside))
+def _light_generators(t):
+    """The magma generators of t, each the first index not yet reached, or
+    None at the first that fails Light's test (x*s)*y = x*(s*y).  Those that
+    pass are closed under the operation, so right multiplication by them
+    reaches their closure: each element once by each, O(n |generators|)."""
+    reached = bytearray([1]) + bytes(len(t) - 1)  # the identity
+    members, gens, cols = [0], [], []
+    while (s := reached.find(0)) >= 0:
+        if not np.array_equal(t[t[:, s]], t[:, t[s]]):
+            return None
         gens.append(s)
-        inside[s] = True
-        frontier = np.array([s])
-        while len(frontier):
-            members = np.flatnonzero(inside)
-            new = np.zeros(n, dtype=bool)
-            new[t[frontier][:, members]] = True
-            new[t[members][:, frontier]] = True
-            new &= ~inside
-            inside |= new
-            frontier = np.flatnonzero(new)
+        cols.append(t[:, s].tolist())
+        old = len(members)  # these were multiplied by the earlier generators
+        for i, x in enumerate(members):
+            for col in cols[-1:] if i < old else cols:
+                if not reached[y := col[x]]:
+                    reached[y] = 1
+                    members.append(y)
     return gens
 
 

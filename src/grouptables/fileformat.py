@@ -54,6 +54,7 @@ def parse_numerals(tokens):
 
 # \s matches exactly the characters str.isspace accepts
 _TOKENS = re.compile(r"[()]|[^\s()]+")
+_BLANK = re.compile(r"\s")
 
 
 def _top_level_elements(text, start, end):
@@ -172,7 +173,7 @@ def _plain_group(text):
     labels = None
     if not _NUMERAL_LINE.fullmatch(text, start, roster_end):
         try:
-            labels, count = _take(_top_level_elements(text, start, roster_end), n)
+            labels, count = _labels(text, start, roster_end, n)
         except (DomainError, ResourceError):
             return None
         if count != n:
@@ -210,10 +211,25 @@ def _plain_group(text):
 _BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _take(items, keep):
-    """(the first `keep` of an iterator's items, the number of them all)."""
-    head = list(islice(items, keep))
-    return head, len(head) + sum(1 for _ in items)
+def _labels(text, start, end, keep):
+    """(the first `keep` top-level elements of text[start:end], the number
+    of them all).  Past `keep`, all are counted again in pieces cut at blanks,
+    by str.split while a piece has no parenthesis and no word over 18
+    characters (a numeral int() could refuse), then by reading elements."""
+    elements = _top_level_elements(text, start, end)
+    head = list(islice(elements, keep))
+    if next(elements, None) is None:
+        return head, len(head)
+    count = 0
+    while start < end:
+        cut = _BLANK.search(text, min(start + 2**12, end), end)
+        piece = text[start:cut.start() if cut else end]
+        words = piece.split()
+        if "(" in piece or ")" in piece or max(map(len, words), default=0) > _MAX_DIGITS:
+            return head, count + sum(1 for _ in _top_level_elements(text, start, end))
+        count += len(words)
+        start += len(piece)
+    return head, count
 
 
 _NON_BLANK = re.compile(r"^[^\S\n]*\S[^\n]*", re.M)
@@ -230,7 +246,9 @@ def _non_blank_matches(text, keep):
     """
     for ch in _BREAKS:
         text = text.replace(ch, "\n")
-    return _take(_NON_BLANK.finditer(text), keep)
+    lines = _NON_BLANK.finditer(text)
+    found = list(islice(lines, keep))
+    return found, len(found) + sum(1 for _ in lines)
 
 
 def _non_blank_lines(text, keep):
@@ -260,8 +278,7 @@ def parse_group(text):
         raise ResourceError(f"group file order {n} exceeds the {MAX_ORDER} guard")
     if count != n + 2:
         raise DomainError(f"expected {n + 2} lines, got {count}")
-    # the labels past the n-th are only counted
-    roster, count = _take(_top_level_elements(lines[1].string, *lines[1].span()), n)
+    roster, count = _labels(lines[1].string, *lines[1].span(), n)
     if count != n:
         raise DomainError(f"expected {n} labels, got {count}")
     table = []

@@ -2,7 +2,8 @@
 
 Isomorphism search is raw backtracking over element bijections or generator
 images, arithmetic is naive trial division, subgroup enumeration is closure
-from below, the group axioms are compared on full n^3 cubes of products,
+from below, the group axioms are compared on full n^3 cubes of products
+and a table's magma generators closed in numpy rounds under all products,
 group files are read one character and one row at a time and their labels
 by recursive descent, plain tables by np.fromstring on their joined rows,
 element orders, powers and inverses are stepped or scanned on the table
@@ -119,6 +120,34 @@ def check_group_cubes(roster, table):
         if len(js) == 0 or t[js[0], i] != 0:
             return "inverse", (roster[i],)
     return None
+
+
+def _magma_generators(t):
+    """Indices that, with the identity, generate the table t as a magma.
+
+    The closure starts as {identity}; each round adds the first index not
+    yet inside as a generator and closes again under all products, taking
+    only the new frontier against the members.  No associativity is
+    assumed, so the result also holds for tables that are no group.
+    """
+    n = len(t)
+    inside = np.zeros(n, dtype=bool)
+    inside[0] = True
+    gens = []
+    while not inside.all():
+        s = int(np.argmin(inside))
+        gens.append(s)
+        inside[s] = True
+        frontier = np.array([s])
+        while len(frontier):
+            members = np.flatnonzero(inside)
+            new = np.zeros(n, dtype=bool)
+            new[t[frontier][:, members]] = True
+            new[t[members][:, frontier]] = True
+            new &= ~inside
+            inside |= new
+            frontier = np.flatnonzero(new)
+    return gens
 
 
 def stepped_orders(g):

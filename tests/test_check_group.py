@@ -11,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 from grouptables.core import (
     _first_non_associative,
     _index_entries,
-    _magma_generators,
+    _light_generators,
     check_group,
     cyclic_group,
+    symmetric_group,
 )
 from grouptables.products import direct_product
 
 from conftest import relabelled
-from oracles import check_group_cubes
+from oracles import _magma_generators, check_group_cubes
 
 
 def verdict(roster, table):
@@ -120,6 +121,34 @@ def test_products_all_identity(n):
     roster = tuple(range(10, 10 + n))
     assert verdict(roster, table) == ("associativity", (11, 11, 12))
     assert_matches_cubes(roster, table)
+
+
+def test_light_generators_of_groups(corpus_with_subgroups):
+    rng = random.Random(16)
+    groups = [g for g, _ in corpus_with_subgroups] + [symmetric_group(5)]
+    for g in groups + [relabelled(g, rng) for g in groups]:
+        gens = _light_generators(g.table)
+        assert gens == greedy_generators(g.table.tolist())
+        assert 2 ** len(gens) <= g.order
+
+
+@settings(max_examples=400, deadline=None)
+@given(magmas_with_identity())
+def test_light_generators_fail_exactly_on_non_associative_magmas(magma):
+    n, table = magma
+    gens = _light_generators(np.array(table, dtype=np.int16))
+    want = check_group_cubes(range(n), table)
+    assert (gens is None) == (want is not None and want[0] == "associativity")
+    if gens is not None:
+        assert gens == greedy_generators(table)
+
+
+def test_light_generators_of_order_256_null_semigroup_monoid():
+    # associative, and no product of two non-identity elements but the zero
+    # 255 is reached: every other element is a generator
+    n = 256
+    table = [[j if i == 0 else i if j == 0 else n - 1 for j in range(n)] for i in range(n)]
+    assert _light_generators(np.array(table, dtype=np.int16)) == list(range(1, n - 1))
 
 
 # a Latin square with identity: a loop, but no group (1 has order 2 in a

@@ -31,6 +31,23 @@ def test_unknown_verb():
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["iso", "g.grp", "g.grp"],
+    ["validate"],
+    ["validate", "g.grp", "g.grp"],
+    ["factor"],
+    ["info"],
+    ["cayley"],
+    ["selftest", "x"],
+], ids=["iso-two-files", "validate-none", "validate-two", "factor-none", "info-none",
+        "cayley-none", "selftest-argument"])
+def test_wrong_argument_count_is_usage_error(args, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.grp").write_text("group 2\n0 1\n0 1\n1 0\n")
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", USAGE)
+
+
 def test_cayley_then_validate(tmp_path):
     for builder in (["zn", "1"], ["zn", "6"], ["s", "3"], ["dp", "zn", "2", "zn", "4"]):
         code, out, _ = run_cli("cayley", *builder)

@@ -20,9 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 from grouptables import cli
 from grouptables.core import MAX_DEPTH, cyclic, cyclic_group, quotient, symmetric_group
+from grouptables.errors import DomainError, ResourceError
 from grouptables.fileformat import (
     _TOKENS,
+    _labels,
     _plain_group,
+    _top_level_elements,
     parse_elements,
     parse_group,
     print_group,
@@ -320,3 +323,43 @@ def test_label_nesting_at_the_guard_matches_recursive_descent(depth):
     for text in ("(" * depth + "0" + ")" * depth, "(" * depth + "0",
                  "(" * depth + "9" * 5000 + ")" * depth, "0 ) " + "(" * depth):
         assert parsed(parse_elements, text) == parsed(parse_elements_recursive, text)
+
+
+def all_labels(text, start, end, keep):
+    """The first `keep` elements and the number of all, with all read."""
+    elements = list(_top_level_elements(text, start, end))
+    return elements[:keep], len(elements)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(label_texts(), max_size=4), st.lists(st.integers(0, 1200), min_size=4),
+       st.integers(0, 3))
+def test_label_count_matches_label_loop(texts, gaps, keep):
+    # runs of numerals between the label texts carry them into later pieces
+    # of the count, and the text lies inside a longer one
+    line = " ".join(t + " " + " ".join(map(str, range(gap))) for t, gap in zip(texts, gaps))
+    text, start, end = f"x\n{line}\ny", 2, 2 + len(line)
+    assert (parsed(lambda s: _labels(s, start, end, keep), text)
+            == parsed(lambda s: all_labels(s, start, end, keep), text))
+
+
+PAST_LAST_LABEL = {
+    "unexpected-close": (")", DomainError, "unexpected ')' in element text"),
+    "nesting-guard": ("(" * (MAX_DEPTH + 1), ResourceError,
+                      f"element nesting exceeds the {MAX_DEPTH} guard"),
+    "long-numeral": ("9" * 5000, ResourceError, "a numeral exceeds the integer conversion limit"),
+}
+
+
+@pytest.mark.parametrize("more", [0, 2000])
+@pytest.mark.parametrize("roster", ["0 1 2 3 4 5", "e a b c d (f g)"], ids=["numerals", "symbols"])
+@pytest.mark.parametrize("error", PAST_LAST_LABEL)
+def test_roster_errors_past_the_last_label(error, roster, more, tmp_path):
+    # the labels past the n-th are only counted, yet raise the first error
+    # in token order, here behind 0 or 2,000 more labels and before the others
+    token, kind, message = PAST_LAST_LABEL[error]
+    filler = " ".join(map(str, range(6, 6 + more)))
+    for later in [""] + [other for key, (other, _, _) in PAST_LAST_LABEL.items() if key != error]:
+        text = with_head(BASES["z6"], roster=f"{roster} {filler} {token} {later}")
+        assert outcome(parse_group, text) == (kind, message)
+        assert_same(text, tmp_path / "g.grp")
