@@ -236,7 +236,7 @@ def _light_generators(t):
     reached = bytearray([1]) + bytes(len(t) - 1)  # the identity
     members, gens, cols = [0], [], []
     while (s := reached.find(0)) >= 0:
-        if not np.array_equal(t[t[:, s]], t[:, t[s]]):
+        if not np.array_equal(t[t[:, s]], t.take(t[s], axis=1)):  # both C-ordered, unlike t[:, t[s]]
             return None
         gens.append(s)
         cols.append(t[:, s].tolist())
