@@ -144,8 +144,8 @@ def test_light_generators_fail_exactly_on_non_associative_magmas(magma):
 
 
 def test_light_generators_of_order_256_null_semigroup_monoid():
-    # associative, and no product of two non-identity elements but the zero
-    # 255 is reached: every other element is a generator
+    # associative, and every product of two non-identity elements is the
+    # zero 255, so every element but the identity and the zero is a generator
     n = 256
     table = [[j if i == 0 else i if j == 0 else n - 1 for j in range(n)] for i in range(n)]
     assert _light_generators(np.array(table, dtype=np.int16)) == list(range(1, n - 1))
