@@ -9,16 +9,12 @@ from .core import (
     cyclic,
     cyclic_group,
     elt_of_ord,
-    group_intersection,
     lcoset,
-    lcosets,
     lift,
-    normalp,
     quotient,
     subgroup,
     subgroupp,
     symmetric_group,
-    trivial_subgroup,
     validate_group,
 )
 from .errors import DomainError, ResourceError
@@ -35,8 +31,6 @@ from .gmaps import (
 from .products import (
     direct_product,
     group_tuples,
-    internal_direct_product_p,
-    product_group,
     product_list_map,
     product_orders,
 )

@@ -43,7 +43,7 @@ verbs:
   iso <fileG> <fileH> <mapfile>        homomorphism / isomorphism verdicts
   unique <builderL...> -- <builderM...> [mapfile]
                                        uniqueness check for two factor lists
-  selftest                             run the built-in invariant suites
+  selftest                             check the verbs' claims on small groups
 
 builders: zn <n> | s <n> | dp <builder>...
 """

@@ -332,10 +332,6 @@ def elt_of_ord(n, g):
     return g.roster[found[0]] if len(found) else None
 
 
-def trivial_subgroup(g):
-    return subgroup(g, (g.identity,))
-
-
 def abelianp(g):
     return bool((g.table == g.table.T).all())
 
@@ -361,18 +357,6 @@ def lcoset(x, h, g):
     return tuple(g.roster[i] for i in sorted(row.tolist()))
 
 
-def lcosets(h, g):
-    """All distinct left cosets of h, ordered by first occurrence in g.
-
-    Each coset is g-ordered, so the list comes out ordered by the g-index of
-    each coset's smallest member, with the identity coset first.
-    """
-    if not subgroupp(h, g):
-        raise DomainError("h is not a subgroup of g")
-    rows = _coset_rows(h, g)
-    return _elements(g, rows[rows[:, 0] == np.arange(g.order)])  # first in their coset
-
-
 def _normal_coset_rows(h, g):
     """_coset_rows(h, g) if h is normal in g, else None: h is normal when
     every left coset x*h is the right coset h*x."""
@@ -381,11 +365,6 @@ def _normal_coset_rows(h, g):
     rows = _coset_rows(h, g)
     right = np.sort(g.table[[g.index(y) for y in h.roster]].T, axis=1)
     return rows if np.array_equal(rows, right) else None
-
-
-def normalp(h, g):
-    """h is normal in g: every left coset x*h is the right coset h*x."""
-    return _normal_coset_rows(h, g) is not None
 
 
 def quotient(g, n):
@@ -412,13 +391,6 @@ def lift(h, n, g):
         roster.extend(c)
     if len(set(roster)) != len(roster):
         raise DomainError("lift cosets overlap; h is not made of n-cosets")
-    return subgroup(g, roster)
-
-
-def group_intersection(h, k, g):
-    """The subgroup on the g-ordered common roster of h and k."""
-    hset, kset = set(h.roster), set(k.roster)
-    roster = tuple(x for x in g.roster if x in hset and x in kset)
     return subgroup(g, roster)
 
 

@@ -211,24 +211,55 @@ def _plain_group(text):
 _BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
+# each byte's class in a roster piece: 0 for an ASCII blank, 1 for "(", 2
+# for ")", 3 for a byte of a word; a piece that is not ASCII has its blanks
+# made " " first, so its other bytes above 127 are bytes of words
+_LABEL_CLASS = bytes(1 if c == 40 else 2 if c == 41 else 0 if c < 128 and chr(c).isspace() else 3
+                     for c in range(256))
+
+
 def _labels(text, start, end, keep):
     """(the first `keep` top-level elements of text[start:end], the number
-    of them all).  Past `keep`, all are counted again in pieces cut at blanks,
-    by str.split while a piece has no parenthesis and no word over 18
-    characters (a numeral int() could refuse), then by reading elements."""
+    of them all).
+
+    Past `keep`, all are counted again in pieces cut at blanks, without
+    building a tuple or calling int(): each byte of a piece is classed at
+    once, and the depth after each parenthesis is a running sum from the
+    depth the piece starts at.  The elements are the words that start at
+    depth 0 and the parentheses that close to it.  A piece that takes the
+    depth below 0 or past MAX_DEPTH, holds a word over 18 bytes (a numeral
+    int() could refuse), or ends the text with a tuple open is read again
+    by _top_level_elements, with its open tuples before it, which raises
+    the first error in token order.
+    """
     elements = _top_level_elements(text, start, end)
     head = list(islice(elements, keep))
     if next(elements, None) is None:
         return head, len(head)
-    count = 0
+    count = depth = 0
     while start < end:
         cut = _BLANK.search(text, min(start + 2**12, end), end)
-        piece = text[start:cut.start() if cut else end]
-        words = piece.split()
-        if "(" in piece or ")" in piece or max(map(len, words), default=0) > _MAX_DIGITS:
-            return head, count + sum(1 for _ in _top_level_elements(text, start, end))
-        count += len(words)
-        start += len(piece)
+        stop = cut.start() if cut else end
+        piece = text[start:stop]
+        if not piece.isascii():
+            piece = _BLANK.sub(" ", piece)
+        classes = np.frombuffer(piece.encode().translate(_LABEL_CLASS), dtype=np.uint8)
+        steps = (classes == 1).astype(np.int8) - (classes == 2)
+        after = np.cumsum(steps, dtype=np.int32)
+        after += depth
+        edges = np.flatnonzero(np.diff(classes == 3, prepend=False, append=False))
+        starts, ends = edges[::2], edges[1::2]  # of the words
+        if (after.min() < 0 or after.max() > MAX_DEPTH or (ends - starts).max(initial=0) > _MAX_DIGITS
+                or (stop == end and after[-1])):
+            # closed after the piece unless it ends the text, so only an
+            # error the piece holds is raised
+            replay = "(" * depth + piece + (")" * int(after[-1]) if stop < end else "")
+            for _ in _top_level_elements(replay, 0, len(replay)):
+                pass
+        count += int(np.count_nonzero(after[starts] == 0)
+                     + np.count_nonzero((steps < 0) & (after == 0)))
+        depth = int(after[-1])
+        start = stop
     return head, count
 
 

@@ -133,6 +133,9 @@ def cyclic_p_subgroup_list(p, g):
     Chooses a maximal-order generator first, so factor orders come out
     non-increasing; the trivial group yields no factors.  Complements of an
     abelian p-group are abelian p-groups, so the loop checks g only once.
+    The last complement is rebuilt by cyclic() like the other factors, so
+    every factor's roster lists the powers of its generator roster[1]; the
+    complement's own roster is concatenated cosets, or the input's order.
     """
     if not p_groupp(g, p):
         raise DomainError("not a p-group for p")
@@ -143,4 +146,4 @@ def cyclic_p_subgroup_list(p, g):
         a = elt_of_ord(max_ord(g), g)
         factors += (cyclic(a, g),)
         g = complement_subgroup(a, p, g)
-    return PFactorization(factors + ((g,) if g.order > 1 else ()))
+    return PFactorization(factors + ((cyclic(elt_of_ord(g.order, g), g),) if g.order > 1 else ()))

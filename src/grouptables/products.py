@@ -1,4 +1,4 @@
-"""Direct products, products of subgroups, and internal direct products.
+"""Direct products and the candidate map from a direct product of subgroups.
 
 Arguments are checked at each public entry; `product_list_map` leaves its
 candidate map to the caller's isomorphism check.
@@ -10,15 +10,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    FiniteGroup,
-    MAX_ORDER,
-    group_intersection,
-    normalp,
-    subgroup,
-    subgroupp,
-    trivial_subgroup,
-)
+from .core import FiniteGroup, MAX_ORDER
 from .errors import DomainError, ResourceError
 from .gmaps import GroupMap
 
@@ -56,43 +48,6 @@ def direct_product(l):
         table = table[:, None, :, None] * k + g.table[None, :, None, :]
         table = table.reshape(m * k, m * k)
     return FiniteGroup(group_tuples(l), table)
-
-
-def products(h, k, g):
-    """All pairwise products op(a, b) for a in h, b in k, ordered by g."""
-    if not (subgroupp(h, g) and subgroupp(k, g)):
-        raise DomainError("products requires subgroups of g")
-    ih = [g.index(a) for a in h.roster]
-    ik = [g.index(b) for b in k.roster]
-    hit = np.zeros(g.order, dtype=bool)
-    hit[g.table[ih][:, ik]] = True
-    return tuple(g.roster[i] for i in np.flatnonzero(hit))
-
-
-def product_group(h, k, g):
-    """The subgroup on products(h, k, g); needs h or k normal in g."""
-    if not (normalp(h, g) or normalp(k, g)):
-        raise DomainError("product-group requires h or k normal in g")
-    return subgroup(g, products(h, k, g))
-
-
-def internal_direct_product_p(l, g):
-    """Each member normal in g and intersecting the product of the rest trivially.
-
-    Scans right to left, carrying the product of the members already
-    scanned: the subgroup each earlier member must meet trivially.
-    """
-    l = list(l)
-    rest = trivial_subgroup(g)
-    for i in range(len(l) - 1, -1, -1):
-        h = l[i]
-        if not subgroupp(h, g) or not normalp(h, g):
-            return False
-        if group_intersection(h, rest, g).roster != (g.identity,):
-            return False
-        if i:  # l[0] is scanned last; nothing reads its product
-            rest = product_group(h, rest, g)
-    return True
 
 
 def product_list_map(l, g):

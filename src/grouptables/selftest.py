@@ -1,109 +1,72 @@
-"""Built-in invariant suites behind the `selftest` CLI verb.
+"""Built-in checks behind the `selftest` CLI verb: the claims the verbs make,
+on every abelian group of order at most 32, runnable without pytest.
 
-A condensed version of the full test suite, runnable without pytest: axiom
-checks over a small corpus, Lagrange and coset partitioning, quotients,
-p-group and abelian factorization, and one uniqueness round trip.
+Each of the 54 types is built as a direct product of cyclic prime powers.
+`factor`'s claims are that the group is the direct product of its factors,
+by a verified isomorphism, that their orders are the type, and that each
+printed generator generates its factor.  `unique`'s claims are that a
+permutation of a list is certified as one, and that no map certifies two
+lists of different types.  `validate`'s claim is that every group the
+suites build passes the axioms.
 """
 from __future__ import annotations
 
+import math
+from itertools import combinations
+
 from .abelian import abelian_factorization
-from .core import (
-    abelianp,
-    check_group,
-    cyclic,
-    cyclic_group,
-    lcosets,
-    quotient,
-    symmetric_group,
-)
-from .gmaps import map_from_function
-from .pgroup import cyclic_p_subgroup_list
-from .products import direct_product, group_tuples, internal_direct_product_p, product_orders
+from .core import check_group, cyclic_group
+from .errors import DomainError
+from .gmaps import GroupMap, map_from_function
+from .numtheory import least_prime_divisor, powerp
+from .products import direct_product, group_tuples
 from .uniqueness import verify_unique_factorization
 
 
-def _corpus():
-    groups = [cyclic_group(n) for n in range(1, 13)]
-    groups += [symmetric_group(3), symmetric_group(4)]
-    groups += [
-        direct_product([cyclic_group(2), cyclic_group(4)]),
-        direct_product([cyclic_group(2), cyclic_group(2), cyclic_group(2)]),
-        direct_product([cyclic_group(3), cyclic_group(9)]),
-        direct_product([cyclic_group(2), cyclic_group(6)]),
-    ]
-    return groups
+def _abelian_types(max_order):
+    """Every abelian group of order 2 ... max_order up to isomorphism, as the
+    ascending tuple of its prime-power cyclic orders: each tuple is extended
+    by every prime power no smaller than its last entry that keeps its
+    product within max_order."""
+    prime_powers = [q for q in range(2, max_order + 1) if powerp(q, least_prime_divisor(q))]
+    types = [()]
+    for t in types:  # the list grows as it is read, one extension at a time
+        types += [t + (q,) for q in prime_powers
+                  if (not t or q >= t[-1]) and math.prod(t) * q <= max_order]
+    return types[1:]
 
 
-def _suite_axioms(groups):
-    return all(check_group(g.roster, g.table) is None for g in groups)
-
-
-def _suite_cosets(groups):
-    for g in groups:
-        for a in g.roster[:4]:
-            h = cyclic(a, g)
-            cos = lcosets(h, g)
-            if g.order % h.order != 0:
-                return False
-            if sorted(x for c in cos for x in c) != sorted(g.roster):
-                return False
-            if any(len(c) != h.order for c in cos):
-                return False
-    return True
-
-
-def _suite_quotients(groups):
-    for g in groups:
-        if not abelianp(g) or g.order > 16:
-            continue
-        for a in g.roster[:3]:
-            q = quotient(g, cyclic(a, g))
-            if check_group(q.roster, q.table) is not None:
-                return False
-    return True
-
-
-def _suite_pgroup():
-    cases = [
-        (2, direct_product([cyclic_group(2), cyclic_group(4)])),
-        (2, direct_product([cyclic_group(2), cyclic_group(2), cyclic_group(2)])),
-        (3, direct_product([cyclic_group(3), cyclic_group(9)])),
-    ]
-    for p, g in cases:
-        fact = cyclic_p_subgroup_list(p, g)
-        if product_orders(fact.factors) != g.order:
-            return False
-        if not internal_direct_product_p(list(fact.factors), g):
-            return False
-    return True
-
-
-def _suite_abelian(groups):
-    for g in groups:
-        if not abelianp(g) or g.order < 2:
-            continue
-        fact = abelian_factorization(g)  # raises if the iso fails
-        if product_orders(fact.factors) != g.order:
-            return False
-    return True
-
-
-def _suite_uniqueness():
-    l = [cyclic_group(2), cyclic_group(4)]
-    m = [cyclic_group(4), cyclic_group(2)]
-    swap = map_from_function(group_tuples(l), lambda x: (x[1], x[0]))
-    return verify_unique_factorization(l, m, swap)
+def _rejected(l, m, iso):
+    """True iff verify_unique_factorization rejects iso with a DomainError."""
+    try:
+        verify_unique_factorization(l, m, iso)
+    except DomainError:
+        return True
+    return False
 
 
 def run_selftest(out):
-    groups = _corpus()
+    types = _abelian_types(32)
+    lists = [[cyclic_group(q) for q in t] for t in types]
+    groups = [direct_product(l) for l in lists]
+    facts = [abelian_factorization(g) for g in groups]  # raises if an iso fails
     suites = [
-        ("axioms", lambda: _suite_axioms(groups)),
-        ("cosets", lambda: _suite_cosets(groups)),
-        ("quotients", lambda: _suite_quotients(groups)),
-        ("p-group factorization", _suite_pgroup),
-        ("abelian factorization", lambda: _suite_abelian(groups)),
-        ("uniqueness", _suite_uniqueness),
+        ("axioms", lambda: all(check_group(g.roster, g.table) is None
+                               for g in groups + [h for f in facts for h in f.factors])),
+        ("abelian factorization", lambda: all(
+            tuple(sorted(f.orders)) == t for f, t in zip(facts, types))),
+        ("generators", lambda: all(h.element_order(h.roster[1]) == h.order
+                                   for f in facts for h in f.factors)),
+        ("uniqueness", lambda: all(
+            verify_unique_factorization(l, l[::-1], map_from_function(
+                group_tuples(l), lambda x: x[::-1])) is True
+            for l in lists if len(l) > 1)),
+        # a bijection by roster position between groups of different types
+        # of one order: by the theorem no map certifies such a pair
+        ("certificates", lambda: all(
+            _rejected(l, m, GroupMap(tuple(zip(group_tuples(l), group_tuples(m)))))
+            for (l, g), (m, h) in combinations(zip(lists, groups), 2)
+            if g.order == h.order)),
     ]
     failed = 0
     for name, run in suites:

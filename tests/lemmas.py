@@ -1,28 +1,63 @@
 """The paper's lemmas, kept as executable checks.
 
 The ACL2 development states its proof steps as functions: the Bezout split
-of an element, the element orderings of a roster, the splitting contract
-of a p-group, the counting argument behind the size of a product of
-subgroups, the appending of internal direct products, the power of a
-direct product, and the order reduction of the uniqueness contraction.
-No CLI verb, selftest or script calls them, so they live here, beside the
-tests that check them.
+of an element, the element orderings of a roster, left cosets, normality,
+intersections and the trivial subgroup, the splitting contract of a
+p-group, products of subgroups and the counting argument behind their
+size, internal direct products and their appending, the power of a direct
+product, and the order reduction of the uniqueness contraction.  No CLI
+verb, selftest or script calls them, so they live here, beside the tests
+that check them.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from grouptables.core import (
-    group_intersection,
+    _coset_rows,
+    _elements,
+    _normal_coset_rows,
     lcoset,
-    lcosets,
     subgroup,
     subgroupp,
-    trivial_subgroup,
 )
 from grouptables.errors import DomainError
 from grouptables.numtheory import gcd_bezout, primep
 from grouptables.pgroup import cyclicp
-from grouptables.products import direct_product, internal_direct_product_p, product_group
+from grouptables.products import direct_product
 from grouptables.uniqueness import delete_trivial, group_power, group_power_list
+
+
+# ---------------------------------------------------------------------------
+# core: cosets, normality, intersections
+
+
+def trivial_subgroup(g):
+    return subgroup(g, (g.identity,))
+
+
+def lcosets(h, g):
+    """All distinct left cosets of h, ordered by first occurrence in g.
+
+    Each coset is g-ordered, so the list comes out ordered by the g-index of
+    each coset's smallest member, with the identity coset first.
+    """
+    if not subgroupp(h, g):
+        raise DomainError("h is not a subgroup of g")
+    rows = _coset_rows(h, g)
+    return _elements(g, rows[rows[:, 0] == np.arange(g.order)])  # first in their coset
+
+
+def normalp(h, g):
+    """h is normal in g: every left coset x*h is the right coset h*x."""
+    return _normal_coset_rows(h, g) is not None
+
+
+def group_intersection(h, k, g):
+    """The subgroup on the g-ordered common roster of h and k."""
+    hset, kset = set(h.roster), set(k.roster)
+    roster = tuple(x for x in g.roster if x in hset and x in kset)
+    return subgroup(g, roster)
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +122,43 @@ def desired_properties_check(g, g1, g2):
 
 # ---------------------------------------------------------------------------
 # products
+
+
+def products(h, k, g):
+    """All pairwise products op(a, b) for a in h, b in k, ordered by g."""
+    if not (subgroupp(h, g) and subgroupp(k, g)):
+        raise DomainError("products requires subgroups of g")
+    ih = [g.index(a) for a in h.roster]
+    ik = [g.index(b) for b in k.roster]
+    hit = np.zeros(g.order, dtype=bool)
+    hit[g.table[ih][:, ik]] = True
+    return tuple(g.roster[i] for i in np.flatnonzero(hit))
+
+
+def product_group(h, k, g):
+    """The subgroup on products(h, k, g); needs h or k normal in g."""
+    if not (normalp(h, g) or normalp(k, g)):
+        raise DomainError("product-group requires h or k normal in g")
+    return subgroup(g, products(h, k, g))
+
+
+def internal_direct_product_p(l, g):
+    """Each member normal in g and intersecting the product of the rest trivially.
+
+    Scans right to left, carrying the product of the members already
+    scanned: the subgroup each earlier member must meet trivially.
+    """
+    l = list(l)
+    rest = trivial_subgroup(g)
+    for i in range(len(l) - 1, -1, -1):
+        h = l[i]
+        if not subgroupp(h, g) or not normalp(h, g):
+            return False
+        if group_intersection(h, rest, g).roster != (g.identity,):
+            return False
+        if i:  # l[0] is scanned last; nothing reads its product
+            rest = product_group(h, rest, g)
+    return True
 
 
 def dp_index_compare(l, x, y):

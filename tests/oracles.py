@@ -15,14 +15,15 @@ recurses with every level checked.
 
 They are not yet free of the code under test: they build on the library's
 `abelianp`, `lcoset`, `lift`, `quotient`, `subgroup`, `subgroupp`,
-`trivial_subgroup`, `split_witness`, `cyclicp`, `group_power_list`,
-`delete_trivial`, `delete_trivial_elt`, `group_tuples`, `map_from_function`,
-`GroupMap` and `parse_numerals`, and on `FiniteGroup`'s `op`, `power`,
+`split_witness`, `cyclicp`, `group_power_list`, `delete_trivial`,
+`delete_trivial_elt`, `group_tuples`, `map_from_function`, `GroupMap` and
+`parse_numerals`, and on `FiniteGroup`'s `op`, `power`,
 `element_order` and `_powers`.  Replacing them with plain-list arithmetic
 is an open item on ROADMAP.md.
 """
 from __future__ import annotations
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -36,7 +37,6 @@ from grouptables.core import (
     quotient,
     subgroup,
     subgroupp,
-    trivial_subgroup,
 )
 from grouptables.errors import DomainError, ResourceError
 from grouptables.fileformat import parse_numerals
@@ -79,6 +79,53 @@ def factor_multisets(n, smallest=2):
 def prime_power_multisets(n):
     """Sorted tuples of prime powers >= 2 with product n."""
     return [ms for ms in factor_multisets(n) if all(is_prime_power(d) for d in ms)]
+
+
+def naive_factorize(n):
+    """[(p, k), ...] with n = prod p^k, primes ascending, by trial division."""
+    out = []
+    for p in naive_primes_upto(n):
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            out.append((p, k))
+    return out
+
+
+def _partitions(k, largest):
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
+
+
+def abelian_types(max_order):
+    """Every abelian group of order 2..max_order up to isomorphism, as the
+    ascending tuple of its prime-power cyclic factors: one partition of the
+    exponent of each prime of the order (246 types for 128, 515 for 256)."""
+    out = []
+    for n in range(2, max_order + 1):
+        types = [()]
+        for p, k in naive_factorize(n):
+            types = [t + tuple(p**e for e in part) for t in types for part in _partitions(k, k)]
+        out.extend(tuple(sorted(t)) for t in types)
+    return out
+
+
+def invariant_factors(primary):
+    """The invariant factors d1 | d2 | ... of the abelian group with the
+    given prime-power factors, ascending: the i-th largest power of each
+    prime, multiplied together."""
+    by_prime = {}
+    for q in primary:
+        by_prime.setdefault(naive_factorize(q)[0][0], []).append(q)
+    cols = [sorted(qs, reverse=True) for qs in by_prime.values()]
+    rank = max(len(c) for c in cols)
+    return tuple(sorted(math.prod(c[i] for c in cols if i < len(c)) for i in range(rank)))
 
 
 def check_group_cubes(roster, table):
@@ -409,7 +456,7 @@ def generated_subgroup(g, gens):
 
 def all_subgroups(g):
     """Every subgroup of g, found by closing generator sets from below."""
-    triv = trivial_subgroup(g)
+    triv = generated_subgroup(g, [])
     subs = {frozenset(triv.roster): triv}
     frontier = [triv]
     while frontier:

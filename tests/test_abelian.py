@@ -8,19 +8,18 @@ from grouptables.abelian import (
     rel_prime_split,
     subgroup_ord_dividing,
 )
-from grouptables.core import cyclic_group, group_intersection, subgroup
+from grouptables.core import cyclic_group, subgroup
 from grouptables.errors import DomainError
 from grouptables.gmaps import classify, homomorphism_check
 from grouptables.pgroup import cyclic_p_group_list_p
 from grouptables.products import (
     direct_product,
     group_tuples,
-    internal_direct_product_p,
     product_list_map,
     product_orders,
 )
 
-from lemmas import bezout_decomposition
+from lemmas import bezout_decomposition, group_intersection, internal_direct_product_p
 
 
 def dp(*ns):

@@ -18,22 +18,14 @@ from grouptables.core import (
     cyclic,
     cyclic_group,
     elt_of_ord,
-    group_intersection,
     lift,
-    normalp,
     quotient,
     symmetric_group,
 )
 from grouptables.gmaps import classify, homomorphism_check, image, kernel, map_from_function
 from grouptables.numtheory import least_prime_divisor, primep
 from grouptables.pgroup import cyclic_p_group_list_p, cyclic_p_subgroup_list
-from grouptables.products import (
-    direct_product,
-    internal_direct_product_p,
-    product_group,
-    product_orders,
-    products,
-)
+from grouptables.products import direct_product, product_orders
 from grouptables.uniqueness import (
     group_power,
     group_power_list,
@@ -41,7 +33,14 @@ from grouptables.uniqueness import (
     verify_unique_factorization,
 )
 
-from lemmas import lift_cosets
+from lemmas import (
+    group_intersection,
+    internal_direct_product_p,
+    lift_cosets,
+    normalp,
+    product_group,
+    products,
+)
 from oracles import (
     all_subgroups,
     brute_force_isomorphism,

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 import tracemalloc
@@ -167,6 +168,17 @@ def test_selftest():
     assert code == 0
     assert "FAIL" not in out
     assert out.count("ok ") >= 5
+
+
+def test_selftest_fails_on_a_dropped_factor(monkeypatch, capsys):
+    from grouptables import selftest
+
+    factor = selftest.abelian_factorization
+    monkeypatch.setattr(selftest, "abelian_factorization",
+                        lambda g: dataclasses.replace(factor(g), factors=factor(g).factors[1:]))
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL abelian factorization" in out
 
 
 @pytest.mark.parametrize(

@@ -13,24 +13,20 @@ from grouptables.core import (
     cyclic,
     cyclic_group,
     elt_of_ord,
-    group_intersection,
     lcoset,
-    lcosets,
     lift,
-    normalp,
     powers,
     quotient,
     subgroup,
     subgroupp,
     symmetric_group,
-    trivial_subgroup,
     validate_group,
 )
 from grouptables.errors import DomainError
 from grouptables.products import direct_product
 
 from conftest import relabelled
-from lemmas import ord_insert, ordp
+from lemmas import group_intersection, lcosets, normalp, ord_insert, ordp, trivial_subgroup
 from oracles import all_subgroups, conjugated_normalp, generated_subgroup, masked_coset_rows
 
 

@@ -8,9 +8,7 @@ from grouptables.core import (
     cyclic,
     cyclic_group,
     elt_of_ord,
-    lcosets,
     lift,
-    normalp,
     subgroup,
     symmetric_group,
 )
@@ -19,9 +17,10 @@ from grouptables.fileformat import format_element, parse_element, parse_group
 from grouptables.gmaps import GroupMap
 from grouptables.numtheory import check_nat
 from grouptables.pgroup import cyclic_p_subgroup_list, p_groupp, split_witness
-from grouptables.products import direct_product, internal_direct_product_p, products
+from grouptables.products import direct_product
 from grouptables.uniqueness import first_prime, group_power, verify_unique_factorization
 
+from lemmas import internal_direct_product_p, lcosets, normalp, products
 from oracles import generated_subgroup
 
 Z2, Z4, Z6, Z12 = (cyclic_group(n) for n in (2, 4, 6, 12))

@@ -352,13 +352,18 @@ PAST_LAST_LABEL = {
 
 
 @pytest.mark.parametrize("more", [0, 2000])
-@pytest.mark.parametrize("roster", ["0 1 2 3 4 5", "e a b c d (f g)"], ids=["numerals", "symbols"])
+@pytest.mark.parametrize("roster, label", [
+    ("0 1 2 3 4 5", "{0}"),
+    ("e a b c d (f g)", "{0}"),
+    ("(0 0) (0 1) ((0 2)) (1 0) (1 1) (1 2)", "({0} ({0} 0))"),
+], ids=["numerals", "symbols", "tuples"])
 @pytest.mark.parametrize("error", PAST_LAST_LABEL)
-def test_roster_errors_past_the_last_label(error, roster, more, tmp_path):
+def test_roster_errors_past_the_last_label(error, roster, label, more, tmp_path):
     # the labels past the n-th are only counted, yet raise the first error
-    # in token order, here behind 0 or 2,000 more labels and before the others
+    # in token order, here behind 0 or 2,000 more labels and before the
+    # others; nested labels carry their depth across the pieces of the count
     token, kind, message = PAST_LAST_LABEL[error]
-    filler = " ".join(map(str, range(6, 6 + more)))
+    filler = " ".join(label.format(k) for k in range(6, 6 + more))
     for later in [""] + [other for key, (other, _, _) in PAST_LAST_LABEL.items() if key != error]:
         text = with_head(BASES["z6"], roster=f"{roster} {filler} {token} {later}")
         assert outcome(parse_group, text) == (kind, message)

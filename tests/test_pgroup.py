@@ -1,6 +1,6 @@
 import pytest
 
-from grouptables.core import cyclic, cyclic_group, elt_of_ord, group_intersection
+from grouptables.core import cyclic, cyclic_group, elt_of_ord
 from grouptables.errors import DomainError
 from grouptables.numtheory import least_prime_divisor
 from grouptables.pgroup import (
@@ -13,14 +13,10 @@ from grouptables.pgroup import (
     p_groupp,
     split_witness,
 )
-from grouptables.products import (
-    direct_product,
-    internal_direct_product_p,
-    product_orders,
-)
+from grouptables.products import direct_product, product_orders
 
 from conftest import dp_cyclic_corpus
-from lemmas import desired_properties_check
+from lemmas import desired_properties_check, group_intersection, internal_direct_product_p
 from oracles import recursive_complement_subgroup
 
 
@@ -136,7 +132,7 @@ class TestDesiredPropertiesCheck:
         assert not ok and "intersect" in why or "orders" in why
 
     def test_order_mismatch_detected(self):
-        from grouptables.core import trivial_subgroup
+        from lemmas import trivial_subgroup
 
         g = dp(2, 4)
         a = elt_of_ord(4, g)

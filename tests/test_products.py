@@ -5,26 +5,26 @@ from grouptables.core import (
     cyclic,
     cyclic_group,
     subgroup,
-    trivial_subgroup,
 )
 from grouptables.errors import DomainError, ResourceError
 from grouptables.gmaps import classify, homomorphism_check
 from grouptables.products import (
     direct_product,
     group_tuples,
-    internal_direct_product_p,
-    product_group,
     product_list_map,
     product_orders,
-    products,
 )
 from grouptables.core import abelianp
 
 from lemmas import (
     dp_index_compare,
     internal_direct_product_append,
+    internal_direct_product_p,
     lift_cosets,
+    product_group,
     product_group_list,
+    products,
+    trivial_subgroup,
 )
 from oracles import all_subgroups
 
@@ -125,7 +125,7 @@ class TestProducts:
         assert products(h, h, z4) == (0, 2)
 
     def test_len_products_all_pairs_z12(self, z12):
-        from grouptables.core import group_intersection
+        from lemmas import group_intersection
 
         subs = all_subgroups(z12)
         for h in subs:
