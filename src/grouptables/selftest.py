@@ -6,8 +6,8 @@ Each of the 54 types is built as a direct product of cyclic prime powers.
 by a verified isomorphism, that their orders are the type, and that each
 printed generator generates its factor.  `unique`'s claims are that a
 permutation of a list is certified as one, and that no map certifies two
-lists of different types.  `validate`'s claim is that every group the
-suites build passes the axioms.
+lists of different types.  `validate`'s check, `check_group`, must accept
+every group the suites build.
 """
 from __future__ import annotations
 

@@ -174,8 +174,12 @@ def test_selftest_fails_on_a_dropped_factor(monkeypatch, capsys):
     from grouptables import selftest
 
     factor = selftest.abelian_factorization
-    monkeypatch.setattr(selftest, "abelian_factorization",
-                        lambda g: dataclasses.replace(factor(g), factors=factor(g).factors[1:]))
+
+    def dropped(g):
+        fact = factor(g)
+        return dataclasses.replace(fact, factors=fact.factors[1:])
+
+    monkeypatch.setattr(selftest, "abelian_factorization", dropped)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "FAIL abelian factorization" in out
