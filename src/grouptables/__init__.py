@@ -45,7 +45,6 @@ from .abelian import (
     AbelianFactorization,
     abelian_factorization,
     cyclic_subgroup_list,
-    rel_prime_split,
     subgroup_ord_dividing,
 )
 from .uniqueness import (

@@ -1,8 +1,9 @@
 """Factorization of an arbitrary finite abelian group into cyclic p-groups.
 
-The group order is peeled one prime block at a time: split off the subgroup
-of elements whose order divides the maximal p-power part, factor it with the
-p-group machinery, and continue on the relatively-prime complement.
+By the primary decomposition G = G_p1 x ... x G_pr, each p-primary block
+G_p is the subgroup of elements whose order divides the maximal p-power
+part of |G|.  Each block is read off the input group itself, primes in
+ascending order, and factored with the p-group machinery.
 Arguments are checked at each public entry; the result is checked once,
 when the explicit isomorphism onto the direct product of the factors is
 verified before it is returned.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from .core import abelianp, subgroup
 from .errors import DomainError
 from .gmaps import GroupMap, classify, homomorphism_check
-from .numtheory import gcd_bezout, least_prime_divisor, max_power_dividing
+from .numtheory import least_prime_divisor, max_power_dividing
 from .pgroup import cyclic_p_subgroup_list
 from .products import direct_product, product_list_map
 
@@ -28,33 +29,21 @@ def subgroup_ord_dividing(m, g):
     return subgroup(g, tuple(x for x, k in zip(g.roster, orders) if m % k == 0))
 
 
-def rel_prime_split(g, m, n):
-    """Split an abelian g of order m*n (gcd(m, n) = 1) into subgroups of
-    orders exactly m and n; coprimality makes them meet trivially."""
-    gcd, _, _ = gcd_bezout(m, n)
-    if gcd != 1:
-        raise DomainError(f"m and n must be relatively prime, gcd = {gcd}")
-    if g.order != m * n:
-        raise DomainError("order of g must equal m * n")
-    return subgroup_ord_dividing(m, g), subgroup_ord_dividing(n, g)
-
-
 def cyclic_subgroup_list(g):
     """The full list of cyclic p-subgroups factoring an abelian g.
 
-    Blocks come out in ascending least-prime order; within a block, orders
-    are non-increasing.  The trivial group yields the empty list.
+    Blocks come out by ascending prime, each read off g itself; within a
+    block, orders are non-increasing.  The trivial group yields the empty
+    list.
     """
     if not abelianp(g):
         raise DomainError("cyclic-subgroup-list needs an abelian group")
-    factors = ()
-    while g.order > 1:
-        p = least_prime_divisor(g.order)
-        m = max_power_dividing(p, g.order)
-        if m == g.order:
-            return factors + cyclic_p_subgroup_list(p, g).factors
-        h, g = rel_prime_split(g, m, g.order // m)
-        factors += cyclic_p_subgroup_list(p, h).factors
+    factors, n = (), g.order
+    while n > 1:
+        p = least_prime_divisor(n)
+        m = max_power_dividing(p, n)
+        factors += cyclic_p_subgroup_list(p, subgroup_ord_dividing(m, g)).factors
+        n //= m
     return factors
 
 

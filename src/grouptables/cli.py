@@ -134,7 +134,7 @@ def cmd_info(args, out):
     if not args:
         return 2
     g = _group_from_args(args)
-    hist = Counter(g.element_order(x) for x in g.roster)
+    hist = Counter(g._orders.tolist())
     print(f"order: {g.order}", file=out)
     print(f"abelian: {str(abelianp(g)).lower()}", file=out)
     print(f"max-ord: {max_ord(g)}", file=out)

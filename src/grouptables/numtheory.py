@@ -1,4 +1,4 @@
-"""Exact integer prerequisites: Bezout gcd, primes, prime powers.
+"""Exact integer prerequisites: primes and prime powers.
 
 All inputs are guarded to the range [0, 2^31]; group orders at desk scale
 never come close, and the guard catches runaway direct-product orders.
@@ -18,27 +18,6 @@ def check_nat(n, name="n", minimum=0):
     if n > MAX_NAT:
         raise DomainError(f"{name} exceeds the 2^31 guard: {n}")
     return n
-
-
-def gcd_bezout(m, n):
-    """Return (g, r, s) with g = gcd(m, n) and r*n + s*m = g.
-
-    The coefficient roles (r against n, s against m) match the splitting
-    identity used by the relatively-prime subgroup decomposition.
-    """
-    check_nat(m, "m", minimum=1)
-    check_nat(n, "n", minimum=1)
-    # extended Euclid on (n, m): old_r tracks gcd, (old_x, old_y) track
-    # coefficients with old_x*n + old_y*m = old_r
-    old_r, r = n, m
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
 
 
 def primep(p):

@@ -1,7 +1,9 @@
 """The paper's lemmas, kept as executable checks.
 
-The ACL2 development states its proof steps as functions: the Bezout split
-of an element, the element orderings of a roster, left cosets, normality,
+The ACL2 development states its proof steps as functions: the gcd with
+Bezout coefficients, the split of an abelian group of relatively-prime
+order m*n into its subgroups of orders m and n, the Bezout split of an
+element, the element orderings of a roster, left cosets, normality,
 intersections and the trivial subgroup, the splitting contract of a
 p-group, products of subgroups and the counting argument behind their
 size, internal direct products and their appending, the power of a direct
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from grouptables.abelian import subgroup_ord_dividing
 from grouptables.core import (
     _coset_rows,
     _elements,
@@ -22,7 +25,7 @@ from grouptables.core import (
     subgroupp,
 )
 from grouptables.errors import DomainError
-from grouptables.numtheory import gcd_bezout, primep
+from grouptables.numtheory import check_nat, primep
 from grouptables.pgroup import cyclicp
 from grouptables.products import direct_product
 from grouptables.uniqueness import delete_trivial, group_power, group_power_list
@@ -89,7 +92,43 @@ def ord_insert(x, l, g):
 
 
 # ---------------------------------------------------------------------------
+# numtheory
+
+
+def gcd_bezout(m, n):
+    """Return (g, r, s) with g = gcd(m, n) and r*n + s*m = g.
+
+    The coefficient roles (r against n, s against m) match the splitting
+    identity used by the relatively-prime subgroup decomposition.
+    """
+    check_nat(m, "m", minimum=1)
+    check_nat(n, "n", minimum=1)
+    # extended Euclid on (n, m): old_r tracks gcd, (old_x, old_y) track
+    # coefficients with old_x*n + old_y*m = old_r
+    old_r, r = n, m
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    return old_r, old_x, old_y
+
+
+# ---------------------------------------------------------------------------
 # abelian
+
+
+def rel_prime_split(g, m, n):
+    """Split an abelian g of order m*n (gcd(m, n) = 1) into subgroups of
+    orders exactly m and n; coprimality makes them meet trivially."""
+    gcd, _, _ = gcd_bezout(m, n)
+    if gcd != 1:
+        raise DomainError(f"m and n must be relatively prime, gcd = {gcd}")
+    if g.order != m * n:
+        raise DomainError("order of g must equal m * n")
+    return subgroup_ord_dividing(m, g), subgroup_ord_dividing(n, g)
 
 
 def bezout_decomposition(g, x, m, n):

@@ -10,12 +10,15 @@ element orders, powers and inverses are stepped or scanned on the table
 rather than read from its power table, left cosets are
 read from a membership mask and normality from conjugates rather than both
 from sorted table columns, the uniqueness contraction map is composed from
-three maps rather than built in one pass, and the p-group complement
-recurses with every level checked.
+three maps rather than built in one pass, the p-group complement
+recurses with every level checked, and the abelian factorization carries
+each prime block's relatively-prime complement to the next step rather
+than reading every block off the input group.
 
 They are not yet free of the code under test: they build on the library's
 `abelianp`, `lcoset`, `lift`, `quotient`, `subgroup`, `subgroupp`,
-`split_witness`, `cyclicp`, `group_power_list`, `delete_trivial`,
+`subgroup_ord_dividing`, `split_witness`, `cyclicp`,
+`cyclic_p_subgroup_list`, `group_power_list`, `delete_trivial`,
 `delete_trivial_elt`, `group_tuples`, `map_from_function`, `GroupMap` and
 `parse_numerals`, and on `FiniteGroup`'s `op`, `power`,
 `element_order` and `_powers`.  Replacing them with plain-list arithmetic
@@ -28,6 +31,7 @@ from itertools import permutations
 
 import numpy as np
 
+from grouptables.abelian import subgroup_ord_dividing
 from grouptables.core import (
     MAX_DEPTH,
     MAX_ORDER,
@@ -41,7 +45,7 @@ from grouptables.core import (
 from grouptables.errors import DomainError, ResourceError
 from grouptables.fileformat import parse_numerals
 from grouptables.gmaps import GroupMap, map_from_function
-from grouptables.pgroup import cyclicp, split_witness
+from grouptables.pgroup import cyclic_p_subgroup_list, cyclicp, split_witness
 from grouptables.products import group_tuples
 from grouptables.uniqueness import delete_trivial, delete_trivial_elt, group_power_list
 
@@ -436,6 +440,26 @@ def recursive_complement_subgroup(a, p, g):
         return sd.c
     rec = recursive_complement_subgroup(lcoset(a, sd.c, g), p, gstar)
     return lift(rec, sd.c, g)
+
+
+def chained_cyclic_subgroup_list(g):
+    """The library's former abelian.cyclic_subgroup_list: split off the
+    block of the least prime p, carry its relatively-prime complement to
+    the next step, and factor each block with the p-group machinery; a
+    p-group left over is factored as it stands."""
+    if not abelianp(g):
+        raise DomainError("cyclic-subgroup-list needs an abelian group")
+    factors = ()
+    while g.order > 1:
+        p = next(d for d in range(2, g.order + 1) if g.order % d == 0)
+        m = p
+        while g.order % (m * p) == 0:
+            m *= p
+        if m == g.order:
+            return factors + cyclic_p_subgroup_list(p, g).factors
+        h, g = subgroup_ord_dividing(m, g), subgroup_ord_dividing(g.order // m, g)
+        factors += cyclic_p_subgroup_list(p, h).factors
+    return factors
 
 
 def generated_subgroup(g, gens):

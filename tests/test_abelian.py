@@ -1,11 +1,11 @@
 import importlib
+import random
 
 import pytest
 
 from grouptables.abelian import (
     abelian_factorization,
     cyclic_subgroup_list,
-    rel_prime_split,
     subgroup_ord_dividing,
 )
 from grouptables.core import cyclic_group, subgroup
@@ -19,7 +19,13 @@ from grouptables.products import (
     product_orders,
 )
 
-from lemmas import bezout_decomposition, group_intersection, internal_direct_product_p
+from lemmas import (
+    bezout_decomposition,
+    group_intersection,
+    internal_direct_product_p,
+    rel_prime_split,
+)
+from oracles import abelian_types, chained_cyclic_subgroup_list, invariant_factors
 
 
 def dp(*ns):
@@ -99,6 +105,22 @@ class TestCyclicSubgroupList:
             assert cyclic_p_group_list_p(l)
             assert internal_direct_product_p(list(l), g)
             assert product_orders(l) == g.order
+
+
+class TestChainedOracle:
+    @pytest.mark.parametrize("form, seed", [("primary", 1), ("invariant", 2)])
+    def test_loop_equals_chained_reference(self, form, seed):
+        """Exact equality, factor by factor (roster and table), over every
+        abelian type of order <= 256 built with its moduli in a seeded
+        random order."""
+        rng = random.Random(seed)
+        types = abelian_types(256)
+        assert len(types) == 515
+        for t in types:
+            moduli = list(t if form == "primary" else invariant_factors(t))
+            rng.shuffle(moduli)
+            g = dp(*moduli)
+            assert cyclic_subgroup_list(g) == chained_cyclic_subgroup_list(g), moduli
 
 
 class TestAbelianFactorization:

@@ -2,7 +2,7 @@
 type and message, or the verdict, for a call that fails its check."""
 import pytest
 
-from grouptables.abelian import cyclic_subgroup_list, rel_prime_split, subgroup_ord_dividing
+from grouptables.abelian import cyclic_subgroup_list, subgroup_ord_dividing
 from grouptables.core import (
     FiniteGroup,
     cyclic,
@@ -20,7 +20,7 @@ from grouptables.pgroup import cyclic_p_subgroup_list, p_groupp, split_witness
 from grouptables.products import direct_product
 from grouptables.uniqueness import first_prime, group_power, verify_unique_factorization
 
-from lemmas import internal_direct_product_p, lcosets, normalp, products
+from lemmas import internal_direct_product_p, lcosets, normalp, products, rel_prime_split
 from oracles import generated_subgroup
 
 Z2, Z4, Z6, Z12 = (cyclic_group(n) for n in (2, 4, 6, 12))

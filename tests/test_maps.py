@@ -50,6 +50,34 @@ class TestConstruction:
         assert GroupMap(((0, 1),)) != GroupMap(((0, 2),))
 
 
+class TestHashContracts:
+    """What a set of (map, G, H) triples relies on, as the benchmark's
+    tracer counts distinct homomorphism checks with one."""
+
+    def test_reordered_pairs_equal_and_hash_equal(self):
+        m, n = GroupMap(((0, 1), (1, 2))), GroupMap(((1, 2), (0, 1)))
+        assert m == n and hash(m) == hash(n)
+
+    def test_rebuilt_direct_product_equal_and_hash_equal(self):
+        g, h = (direct_product([cyclic_group(2), cyclic_group(4)]) for _ in range(2))
+        assert g is not h
+        assert g == h and hash(g) == hash(h)
+
+    def test_never_equal_to_another_type(self, z4):
+        m = identity_map(z4.roster)
+        assert m.__eq__(m.pairs) is NotImplemented and m != m.pairs and m != dict(m.pairs)
+        assert z4.__eq__(z4.roster) is NotImplemented and z4 != z4.roster and z4 != "Z4"
+
+    def test_set_of_equal_triples_holds_one(self):
+        def triple(reverse):
+            # the isomorphism Z2 x Z3 -> Z6, (a, b) -> 3a + 4b
+            g, h = direct_product([cyclic_group(2), cyclic_group(3)]), cyclic_group(6)
+            pairs = tuple((x, (3 * x[0] + 4 * x[1]) % 6) for x in g.roster)
+            return GroupMap(pairs[::-1] if reverse else pairs), g, h
+
+        assert len({triple(False), triple(True)}) == 1
+
+
 class TestCompose:
     def test_compose_identity(self, z4):
         m = doubling(z4)

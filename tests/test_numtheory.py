@@ -3,13 +3,13 @@ from hypothesis import given, strategies as st
 
 from grouptables.errors import DomainError
 from grouptables.numtheory import (
-    gcd_bezout,
     least_prime_divisor,
     max_power_dividing,
     powerp,
     primep,
 )
 
+from lemmas import gcd_bezout
 from oracles import naive_gcd, naive_primes_upto
 
 
