@@ -5,14 +5,16 @@ Group file: line 1 is `group <n>`; line 2 holds the n element labels
 indices.  Structured elements print as parenthesized tuples, e.g. `(0 1)`,
 so label tokenization is paren-aware.  parse(print(g)) round-trips exactly.
 
-A plain file is read in one pass over its bytes into an n x n int16 array
-of indices, which check_group types by its dtype.  After the header it
-holds only ASCII digits, blanks and line breaks, but for a roster line of
-other labels, which is tokenized on its span of the text; its digit runs
-are found once and give the rows, the 18-digit cap and the values.  The
-pass declines a file that is not ASCII, is longer than 32 (n + 1)^2
-characters, holds any other byte among its numeral lines, has a roster
-line that does not read as n labels, or has a row that is not n numerals
+A plain file is read in one pass over the bytes of its table lines into an
+n x n int16 array of indices, which check_group types by its dtype.  Its
+roster line is read on its own: split and converted with int() when it is
+all numerals, else tokenized on its span of the text.  After it the file
+holds only ASCII digits, blanks and line breaks; the digit runs are found
+once and give the rows, the 18-digit cap and the values, each summed in
+int16 from its last len(str(n - 1)) digits.  The pass declines a file that
+is not ASCII, is longer than 32 (n + 1)^2 characters, has a roster line
+that does not read as n labels or holds a numeral of over 18 digits, holds
+any other byte among its table lines, or has a row that is not n numerals
 of at most 18 digits, each below n.  Such a file is read line by line from
 the spans of its non-blank lines, the table row by row into tuples, and
 that reading alone reports errors.
@@ -106,7 +108,7 @@ def print_group(g):
     return "\n".join(lines) + "\n"
 
 
-_MAX_DIGITS = 18  # int64 holds every 18-digit numeral; int() converts them all
+_MAX_DIGITS = 18  # the longest numeral a plain file holds; it ends the digit loop
 
 # the header of a plain file and the blanks up to its roster line
 _PLAIN_HEAD = re.compile(r"[ \t\r\n]*group[ \t]+([0-9]{1,18})[ \t]*[\r\n][ \t\r\n]*")
@@ -115,39 +117,35 @@ _PLAIN_HEAD = re.compile(r"[ \t\r\n]*group[ \t]+([0-9]{1,18})[ \t]*[\r\n][ \t\r\
 _PLAIN_CHARS = 32
 _NUMERAL_LINE = re.compile(r"[0-9 \t]*")
 _LINE_END = re.compile(r"[\r\n\v\f\x1c-\x1e]|\Z")
-# each byte's class in a plain file's numeral lines: 0 for a byte that makes
-# the file not plain, 1 for " " and "\t", 2 for "\r" and "\n", 3 for a digit
-_BYTE_CLASS = bytes(3 if 48 <= c <= 57 else 2 if c in (10, 13) else 1 if c in (9, 32) else 0
-                    for c in range(256))
 
 
-def _numeral_values(b, ends):
-    """The values of the numerals of the byte array b whose last digits lie
-    at the positions `ends`, written over `ends`, or None if one has more
-    than _MAX_DIGITS digits.
+def _numeral_values(digits, ends, count, n):
+    """The int16 values of the numerals of `digits` (bytes less "0", after
+    _MAX_DIGITS blanks) whose last digits lie at the positions `ends` past
+    the blanks and which hold `count` digits in all, or None if one has
+    more than _MAX_DIGITS digits or is not below n.
 
-    The k-th digit from the end of every numeral is read at once, as 0 once
-    a numeral has run out of digits, until all have run out; then the
-    digits are summed most significant first, in place.
+    The k-th digit from the end of every numeral is read at once, from the
+    view k bytes further back, as 0 once a numeral has run out of digits,
+    until all `count` have been read.  The first len(str(n - 1)) places are
+    summed into the values; at any later place a numeral still running must
+    have a leading zero, as any other digit makes it at least n.
     """
-    places, alive = [], np.ones(len(ends), dtype=bool)
-    while True:
-        digits = np.take(b, ends, mode="wrap")  # a numeral that ran out may step past byte 0
-        digits -= ord("0")  # uint8: bytes below "0" wrap past 9
-        alive &= digits < 10
-        if not alive.any():
-            break
-        if len(places) == _MAX_DIGITS:
+    width = len(str(n - 1))
+    values = np.zeros(len(ends), dtype=np.int16)
+    alive = np.ones(len(ends), dtype=bool)
+    for place in range(_MAX_DIGITS):
+        digit = digits[_MAX_DIGITS - place:].take(ends)
+        alive &= digit < 10
+        digit *= alive
+        if place < width:
+            values += digit * np.int16(10 ** place)
+        elif digit.any():
             return None
-        digits *= alive
-        places.append(digits)
-        ends -= 1
-    values = ends
-    values[:] = places.pop()
-    for digits in reversed(places):
-        values *= 10
-        values += digits
-    return values
+        count -= np.count_nonzero(alive)
+        if not count:
+            return values if values.max() < n else None
+    return None
 
 
 def _plain_group(text):
@@ -155,12 +153,15 @@ def _plain_group(text):
     where the file is not plain.
 
     A plain file is ASCII and at most _PLAIN_CHARS (n + 1)^2 characters
-    long.  After its `group n` header it holds only digits, blanks (" ",
-    "\t") and line breaks ("\r", "\n"), but for its roster line, which may
-    hold any labels and is then tokenized on its span of the text.  Each of
-    its n table lines holds n numerals of at most 18 digits, every one below
-    n.  The digit runs are found once; they give the lines, the digit cap and
-    the values, those of the roster too when it is all numerals.
+    long.  Its roster line follows the `group n` header and holds n labels:
+    an all-numeral line is split and its numerals, of at most 18 digits,
+    converted with int(); any other is tokenized on its span of the text.
+    The n table lines after it hold only digits, blanks (" ", "\t") and line
+    breaks ("\r", "\n"), n numerals of at most 18 digits on each, every one
+    below n.  The pass takes the digit values of their bytes once and finds
+    the digit runs once, which give the lines, the digit cap and the values:
+    each numeral's last len(str(n - 1)) digits are summed into the int16
+    table.
     """
     head = _PLAIN_HEAD.match(text) if text.isascii() else None
     if head is None:
@@ -170,41 +171,38 @@ def _plain_group(text):
         return None
     start = head.end()
     roster_end = _LINE_END.search(text, start).start()
-    labels = None
-    if not _NUMERAL_LINE.fullmatch(text, start, roster_end):
+    if _NUMERAL_LINE.fullmatch(text, start, roster_end):
+        numerals = text[start:roster_end].split()
+        if len(numerals) != n or max(map(len, numerals)) > _MAX_DIGITS:
+            return None
+        labels = list(map(int, numerals))
+    else:
         try:
             labels, count = _labels(text, start, roster_end, n)
         except (DomainError, ResourceError):
             return None
         if count != n:
             return None
-        start = roster_end
-    data = text.encode("ascii")
-    classes = np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)[start:]
-    if not classes.all():
+    # the table lines between blanks, so a digit is read _MAX_DIGITS places
+    # back from any numeral's end and a numeral never ends the bytes
+    data = b" " * _MAX_DIGITS + text[roster_end:].encode("ascii") + b" "
+    if data.translate(None, b"0123456789 \t\r\n"):
         return None
-    breaks = np.flatnonzero(classes == 2)
-    digit = classes == 3
-    del classes
-    ends = np.flatnonzero(digit[:-1] > digit[1:])
-    if digit[-1:].any():  # a numeral ends the file
-        ends = np.append(ends, len(digit) - 1)
-    del digit
-    numerals = n * n if labels is not None else n * (n + 1)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    # "\n" and "\r" are the only bytes left in 10..13, and the rest wrap past 3
+    breaks = np.flatnonzero(raw[_MAX_DIGITS:] - ord("\n") < 4)
+    digits = raw - ord("0")  # uint8: the other bytes wrap past 9
+    del data, raw  # freed before the run ends are found, where the pass peaks
+    is_digit = digits[_MAX_DIGITS:] < 10
+    ends = np.flatnonzero(is_digit[:-1] > is_digit[1:])
+    count = np.count_nonzero(is_digit)
+    del is_digit
     # n numerals on each non-blank line: count those before each break
     per_line = np.diff(np.searchsorted(ends, breaks), prepend=0, append=len(ends))
-    if len(ends) != numerals or ((per_line != 0) & (per_line != n)).any():
+    if len(ends) != n * n or ((per_line != 0) & (per_line != n)).any():
         return None
-    ends += start
-    values = _numeral_values(np.frombuffer(data, dtype=np.uint8), ends)
-    if values is None:
-        return None
-    table = values[numerals - n * n:].reshape(n, n)
-    if table.max() >= n:
-        return None
-    if labels is None:
-        labels = values[:n].tolist()
-    return tuple(labels), table.astype(np.int16)
+    values = _numeral_values(digits, ends, count, n)
+    return None if values is None else (tuple(labels), values.reshape(n, n))
 
 
 # the line breaks of str.splitlines other than "\n"
