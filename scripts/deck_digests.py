@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Digest what the CLI prints for the benchmark's request decks.
 
-For each workload named, or for every workload when none is, with seeds 1
-and 3, the deck is built with perfbench/workloads.py in a temporary
-directory, from the same seeded generator perfbench/run.py uses.  Each
-request then runs through grouptables.cli.main in this interpreter, with
-that directory as the working directory, so the map and group files the
-deck names are found.  One line is printed per deck:
+For each workload, with seeds 1 and 3, the deck is built with
+perfbench/workloads.py in a temporary directory, from the same seeded
+generator perfbench/run.py uses.  Each request then runs through grouptables.cli.main in this
+interpreter, with that directory as the working directory, so the map and
+group files the deck names are found.  One line is printed per deck:
 
     <workload> <seed> <requests> <sha256>
 
@@ -15,9 +14,8 @@ order, with the deck directory's path replaced by a placeholder, so the
 lines of two checkouts can be compared as they are.  perfbench/ is read
 and never written.
 
-Usage: python3 scripts/deck_digests.py [workload ...]
+Usage: python3 scripts/deck_digests.py
 """
-import argparse
 import contextlib
 import hashlib
 import io
@@ -65,14 +63,8 @@ def deck_digest(workload, seed, limit=None):
     return len(requests), digest.hexdigest()
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("workload", nargs="*", help=f"one of {', '.join(WORKLOADS)}")
-    workloads = ap.parse_args(argv).workload or list(WORKLOADS)
-    for workload in workloads:
-        if workload not in WORKLOADS:
-            ap.error(f"unknown workload {workload!r}")
-    for workload in workloads:
+def main():
+    for workload in WORKLOADS:
         for seed in (1, 3):
             count, sha = deck_digest(workload, seed)
             print(f"{workload} {seed} {count} {sha}", flush=True)

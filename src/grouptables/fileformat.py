@@ -5,19 +5,17 @@ Group file: line 1 is `group <n>`; line 2 holds the n element labels
 indices.  Structured elements print as parenthesized tuples, e.g. `(0 1)`,
 so label tokenization is paren-aware.  parse(print(g)) round-trips exactly.
 
-A plain file is read in one pass over the bytes of its table lines into an
-n x n int16 array of indices, which check_group types by its dtype.  Its
-roster line is read on its own: split and converted with int() when it is
-all numerals, else tokenized on its span of the text.  After it the file
-holds only ASCII digits, blanks and line breaks; the digit runs are found
-once and give the rows, the 18-digit cap and the values, each summed in
-int16 from its last len(str(n - 1)) digits.  The pass declines a file that
-is not ASCII, is longer than 32 (n + 1)^2 characters, has a roster line
-that does not read as n labels or holds a numeral of over 18 digits, holds
-any other byte among its table lines, or has a row that is not n numerals
-of at most 18 digits, each below n.  Such a file is read line by line from
-the spans of its non-blank lines, the table row by row into tuples, and
-that reading alone reports errors.
+A plain file is read into an n x n int16 array of indices, which
+check_group types by its dtype: its roster line on its own, split and
+converted with int() when all numerals, else tokenized on its span of the
+text, then its table lines in one pass over their bytes.  The pass declines
+a file that is not ASCII, is longer than 32 (n + 1)^2 characters, has a
+roster line that does not read as n labels or holds a numeral of over 18
+digits, holds a byte other than digits, blanks and line breaks among its
+table lines, or has a row that is not n numerals of at most 18 digits,
+each below n.  Such a file is read line by line from the spans of its
+non-blank lines, the table row by row into tuples, and that reading alone
+reports errors.
 
 Map file: one `x -> y` line per pair, with the same label syntax, split at
 a bare `->` between two labels or else the first `->`; at most MAX_ORDER pairs.
@@ -115,7 +113,8 @@ _PLAIN_HEAD = re.compile(r"[ \t\r\n]*group[ \t]+([0-9]{1,18})[ \t]*[\r\n][ \t\r\
 # characters per numeral in a plain file: room for long numerals and blanks,
 # while the pass's byte arrays stay within a small multiple of n^2
 _PLAIN_CHARS = 32
-_NUMERAL_LINE = re.compile(r"[0-9 \t]*")
+# an all-numeral roster line, up to its line break
+_NUMERAL_ROSTER = re.compile(r"[0-9 \t]*+(?=[\r\n\v\f\x1c-\x1e]|\Z)")
 _LINE_END = re.compile(r"[\r\n\v\f\x1c-\x1e]|\Z")
 
 
@@ -135,11 +134,11 @@ def _numeral_values(digits, ends, count, n):
     values = np.zeros(len(ends), dtype=np.int16)
     alive = np.ones(len(ends), dtype=bool)
     for place in range(_MAX_DIGITS):
-        digit = digits[_MAX_DIGITS - place:].take(ends)
+        digit = digits[_MAX_DIGITS - place:][ends]
         alive &= digit < 10
         digit *= alive
         if place < width:
-            values += digit * np.int16(10 ** place)
+            values += np.multiply(digit, 10 ** place, dtype=np.int16)  # no uint8 wrap
         elif digit.any():
             return None
         count -= np.count_nonzero(alive)
@@ -153,15 +152,12 @@ def _plain_group(text):
     where the file is not plain.
 
     A plain file is ASCII and at most _PLAIN_CHARS (n + 1)^2 characters
-    long.  Its roster line follows the `group n` header and holds n labels:
-    an all-numeral line is split and its numerals, of at most 18 digits,
-    converted with int(); any other is tokenized on its span of the text.
-    The n table lines after it hold only digits, blanks (" ", "\t") and line
-    breaks ("\r", "\n"), n numerals of at most 18 digits on each, every one
-    below n.  The pass takes the digit values of their bytes once and finds
-    the digit runs once, which give the lines, the digit cap and the values:
-    each numeral's last len(str(n - 1)) digits are summed into the int16
-    table.
+    long; its roster line holds n labels, numerals of at most 18 digits if
+    all are numerals, and its n table lines only digits, blanks (" ", "\t")
+    and breaks ("\r", "\n"), n numerals below n on each.  With tabs made
+    spaces and "\r" made "\n", the table's bytes are counted as digits,
+    breaks and spaces and its digit runs found once; row r, the numerals r n
+    to r n + n - 1, must start and end on one line, past that of row r - 1.
     """
     head = _PLAIN_HEAD.match(text) if text.isascii() else None
     if head is None:
@@ -170,13 +166,15 @@ def _plain_group(text):
     if not 0 < n <= MAX_ORDER or len(text) > _PLAIN_CHARS * (n + 1) ** 2:
         return None
     start = head.end()
-    roster_end = _LINE_END.search(text, start).start()
-    if _NUMERAL_LINE.fullmatch(text, start, roster_end):
-        numerals = text[start:roster_end].split()
+    roster = _NUMERAL_ROSTER.match(text, start)
+    if roster:
+        roster_end = roster.end()
+        numerals = roster[0].split()
         if len(numerals) != n or max(map(len, numerals)) > _MAX_DIGITS:
             return None
         labels = list(map(int, numerals))
     else:
+        roster_end = _LINE_END.search(text, start).start()
         try:
             labels, count = _labels(text, start, roster_end, n)
         except (DomainError, ResourceError):
@@ -186,20 +184,22 @@ def _plain_group(text):
     # the table lines between blanks, so a digit is read _MAX_DIGITS places
     # back from any numeral's end and a numeral never ends the bytes
     data = b" " * _MAX_DIGITS + text[roster_end:].encode("ascii") + b" "
-    if data.translate(None, b"0123456789 \t\r\n"):
-        return None
+    data = data.replace(b"\t", b" ").replace(b"\r", b"\n")  # no copy without them
     raw = np.frombuffer(data, dtype=np.uint8)
-    # "\n" and "\r" are the only bytes left in 10..13, and the rest wrap past 3
-    breaks = np.flatnonzero(raw[_MAX_DIGITS:] - ord("\n") < 4)
     digits = raw - ord("0")  # uint8: the other bytes wrap past 9
-    del data, raw  # freed before the run ends are found, where the pass peaks
+    raw = raw[_MAX_DIGITS:]
     is_digit = digits[_MAX_DIGITS:] < 10
-    ends = np.flatnonzero(is_digit[:-1] > is_digit[1:])
+    breaks = np.flatnonzero(raw == ord("\n"))
     count = np.count_nonzero(is_digit)
+    if count + len(breaks) + np.count_nonzero(raw == ord(" ")) != len(raw):
+        return None  # a byte that is no digit, break or blank
+    del data, raw  # the pass peaks while it finds the run ends and sums the values
+    ends = np.flatnonzero(is_digit[:-1] > is_digit[1:])
     del is_digit
-    # n numerals on each non-blank line: count those before each break
-    per_line = np.diff(np.searchsorted(ends, breaks), prepend=0, append=len(ends))
-    if len(ends) != n * n or ((per_line != 0) & (per_line != n)).any():
+    if len(ends) != n * n:
+        return None
+    first, last = np.searchsorted(breaks, ends[::n]), np.searchsorted(breaks, ends[n - 1::n])
+    if (first != last).any() or (first[1:] <= last[:-1]).any():
         return None
     values = _numeral_values(digits, ends, count, n)
     return None if values is None else (tuple(labels), values.reshape(n, n))

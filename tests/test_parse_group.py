@@ -94,7 +94,10 @@ def hand_cases():
     z6, z12, s3 = BASES["z6"], BASES["z12"], BASES["s3"]
     big = "9" * 5000
     short, long, both, last = cells(z12), cells(z12), cells(z12), cells(z12)
+    split, joined = cells(z12), cells(z12)
     del short[5][3], both[5][3]
+    split[5:6] = [split[5][:4], split[5][4:]]
+    joined[5:7] = [joined[5] + joined[6]]
     long[7].append("0")
     both[7].append("0")
     last[-1].append("0")
@@ -120,6 +123,8 @@ def hand_cases():
         "exponent": with_cells(z6, {(2, 3): "1e3"}),
         "entry-equal-to-n": with_cells(s3, {(2, 4): "6"}),
         "entry-one-below-n": with_cells(s3, {(2, 4): "5"}),
+        # 300 wraps to 44 in uint8, so it must be summed in int16
+        "entry-300-order-256": with_cells(cyclic_group(256), {(3, 5): "300"}),
         "entry-10^30": with_cells(s3, {(2, 4): str(10 ** 30)}),
         "entry-2^64+1": with_cells(s3, {(2, 4): str(2 ** 64 + 1)}),
         "5000-digits-before-bad-row": with_cells(z6, {(2, 3): big, (4, 1): "#"}),
@@ -128,6 +133,8 @@ def hand_cases():
         "long-row": render(z12, long),
         "short-and-long-rows": render(z12, both),
         "long-last-row": render(z12, last),
+        "row-over-two-lines": render(z12, split),
+        "two-rows-on-one-line": render(z12, joined),
         "order-1-damaged": with_cells(BASES["z1"], {(0, 0): "1"}),
     })
     cases.update(head_and_roster_cases())

@@ -27,32 +27,14 @@ def test_script_runs_from_any_directory(script, args, last, tmp_path):
     assert proc.stdout.splitlines()[-1].startswith(last)
 
 
-@pytest.fixture
-def deck_script(monkeypatch):
+def test_deck_digests_replace_the_deck_path(monkeypatch):
     # the script puts src/ and perfbench/ on sys.path and stops bytecode writes
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     spec = importlib.util.spec_from_file_location("deck_digests", SCRIPTS / "deck_digests.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    return script
-
-
-def test_deck_digests_replace_the_deck_path(deck_script):
-    first = deck_script.deck_digest("unique-perm", 1, 3)  # each call builds its deck afresh
-    assert first == deck_script.deck_digest("unique-perm", 1, 3)
+    first = script.deck_digest("unique-perm", 1, 3)  # each call builds its deck afresh
+    assert first == script.deck_digest("unique-perm", 1, 3)
     assert first[0] == 3 and len(first[1]) == 64
-    assert deck_script.deck_digest("factor-mix", 1, 3)[0] == 3
-
-
-def test_deck_digests_takes_workload_names(deck_script, monkeypatch, capsys):
-    # one line per seed of each workload named, and of every workload when none is
-    monkeypatch.setattr(deck_script, "deck_digest", lambda workload, seed: (seed, workload))
-    deck_script.main(["validate-files"])
-    assert capsys.readouterr().out == "validate-files 1 1 validate-files\nvalidate-files 3 3 validate-files\n"
-    deck_script.main([])
-    lines = capsys.readouterr().out.splitlines()
-    assert [ln.split()[:2] for ln in lines] == [[w, s] for w in deck_script.WORKLOADS for s in ("1", "3")]
-    with pytest.raises(SystemExit):
-        deck_script.main(["validate-files", "no-such-workload"])
-    assert capsys.readouterr().out == ""
+    assert script.deck_digest("factor-mix", 1, 3)[0] == 3
