@@ -7,15 +7,16 @@ so label tokenization is paren-aware.  parse(print(g)) round-trips exactly.
 
 A plain file is read into an n x n int16 array of indices, which
 check_group types by its dtype: its roster line on its own, split and
-converted with int() when all numerals, else tokenized on its span of the
-text, then its table lines in one pass over their bytes.  The pass declines
-a file that is not ASCII, is longer than 32 (n + 1)^2 characters, has a
-roster line that does not read as n labels or holds a numeral of over 18
-digits, holds a byte other than digits, blanks and line breaks among its
-table lines, or has a row that is not n numerals of at most 18 digits,
-each below n.  Such a file is read line by line from the spans of its
-non-blank lines, the table row by row into tuples, and that reading alone
-reports errors.
+converted with int() when all numerals, else read by the label loop on its
+span of the text up to an (n + 1)-th label at most, then its table lines in
+one pass over their bytes.  The pass declines a file that is not ASCII, is
+longer than 32 (n + 1)^2 characters, has a roster line that does not read
+as n labels or holds a numeral of over 18 digits, holds a byte other than
+digits, blanks and line breaks among its table lines, or has a row that is
+not n numerals of at most 18 digits, each below n.  Such a file is read
+line by line from the spans of its non-blank lines, its roster by the same
+label loop, which reads every label past the n-th only to count it, the
+table row by row into tuples, and that reading alone reports errors.
 
 Map file: one `x -> y` line per pair, with the same label syntax, split at
 a bare `->` between two labels or else the first `->`; at most MAX_ORDER pairs.
@@ -54,7 +55,6 @@ def parse_numerals(tokens):
 
 # \s matches exactly the characters str.isspace accepts
 _TOKENS = re.compile(r"[()]|[^\s()]+")
-_BLANK = re.compile(r"\s")
 
 
 def _top_level_elements(text, start, end):
@@ -154,7 +154,9 @@ def _plain_group(text):
     A plain file is ASCII and at most _PLAIN_CHARS (n + 1)^2 characters
     long; its roster line holds n labels, numerals of at most 18 digits if
     all are numerals, and its n table lines only digits, blanks (" ", "\t")
-    and breaks ("\r", "\n"), n numerals below n on each.  With tabs made
+    and breaks ("\r", "\n"), n numerals below n on each.  A roster that is
+    not all numerals is read by the label loop, which stops at an (n + 1)-th
+    label, so only the line reader reads an over-long one.  With tabs made
     spaces and "\r" made "\n", the table's bytes are counted as digits,
     breaks and spaces and its digit runs found once; row r, the numerals r n
     to r n + n - 1, must start and end on one line, past that of row r - 1.
@@ -176,10 +178,10 @@ def _plain_group(text):
     else:
         roster_end = _LINE_END.search(text, start).start()
         try:
-            labels, count = _labels(text, start, roster_end, n)
+            labels = list(islice(_top_level_elements(text, start, roster_end), n + 1))
         except (DomainError, ResourceError):
             return None
-        if count != n:
+        if len(labels) != n:
             return None
     # the table lines between blanks, so a digit is read _MAX_DIGITS places
     # back from any numeral's end and a numeral never ends the bytes
@@ -209,56 +211,13 @@ def _plain_group(text):
 _BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-# each byte's class in a roster piece: 0 for an ASCII blank, 1 for "(", 2
-# for ")", 3 for a byte of a word; a piece that is not ASCII has its blanks
-# made " " first, so its other bytes above 127 are bytes of words
-_LABEL_CLASS = bytes(1 if c == 40 else 2 if c == 41 else 0 if c < 128 and chr(c).isspace() else 3
-                     for c in range(256))
-
-
 def _labels(text, start, end, keep):
     """(the first `keep` top-level elements of text[start:end], the number
-    of them all).
-
-    Past `keep`, all are counted again in pieces cut at blanks, without
-    building a tuple or calling int(): each byte of a piece is classed at
-    once, and the depth after each parenthesis is a running sum from the
-    depth the piece starts at.  The elements are the words that start at
-    depth 0 and the parentheses that close to it.  A piece that takes the
-    depth below 0 or past MAX_DEPTH, holds a word over 18 bytes (a numeral
-    int() could refuse), or ends the text with a tuple open is read again
-    by _top_level_elements, with its open tuples before it, which raises
-    the first error in token order.
-    """
+    of them all): the rest are read by the same loop only to be counted, so
+    the first error in token order is raised wherever it lies."""
     elements = _top_level_elements(text, start, end)
     head = list(islice(elements, keep))
-    if next(elements, None) is None:
-        return head, len(head)
-    count = depth = 0
-    while start < end:
-        cut = _BLANK.search(text, min(start + 2**12, end), end)
-        stop = cut.start() if cut else end
-        piece = text[start:stop]
-        if not piece.isascii():
-            piece = _BLANK.sub(" ", piece)
-        classes = np.frombuffer(piece.encode().translate(_LABEL_CLASS), dtype=np.uint8)
-        steps = (classes == 1).astype(np.int8) - (classes == 2)
-        after = np.cumsum(steps, dtype=np.int32)
-        after += depth
-        edges = np.flatnonzero(np.diff(classes == 3, prepend=False, append=False))
-        starts, ends = edges[::2], edges[1::2]  # of the words
-        if (after.min() < 0 or after.max() > MAX_DEPTH or (ends - starts).max(initial=0) > _MAX_DIGITS
-                or (stop == end and after[-1])):
-            # closed after the piece unless it ends the text, so only an
-            # error the piece holds is raised
-            replay = "(" * depth + piece + (")" * int(after[-1]) if stop < end else "")
-            for _ in _top_level_elements(replay, 0, len(replay)):
-                pass
-        count += int(np.count_nonzero(after[starts] == 0)
-                     + np.count_nonzero((steps < 0) & (after == 0)))
-        depth = int(after[-1])
-        start = stop
-    return head, count
+    return head, len(head) + sum(1 for _ in elements)
 
 
 _NON_BLANK = re.compile(r"^[^\S\n]*\S[^\n]*", re.M)

@@ -215,6 +215,27 @@ def test_order_256_four_digit_roster_is_plain():
     assert outcome(_plain_group, text) == outcome(parse_group_rows, text)
 
 
+def test_over_long_roster_is_tokenized_once():
+    # the plain pass stops at the (n + 1)-th label and only the line reader
+    # counts them all.  Headed `group 2`, a roster of 10,000 labels is past
+    # the pass's length bound, so the roster is read under `group 256`
+    text = with_head(cyclic_group(256), roster=" ".join(["(0 1)"] * 10_000))
+    draws = []
+
+    def counted(text, start, end):
+        draws.append(0)
+        for x in _top_level_elements(text, start, end):
+            draws[-1] += 1
+            yield x
+
+    with mock.patch("grouptables.fileformat._top_level_elements", counted):
+        assert _plain_group(text) is None
+        assert draws == [257]
+        with pytest.raises(DomainError, match="^expected 256 labels, got 10000$"):
+            parse_group(text)
+    assert draws == [257, 257, 10_000]
+
+
 def test_printed_groups_match_rows(small_abelian_corpus, tmp_path):
     groups = [g for _, g in small_abelian_corpus]
     groups += [symmetric_group(k) for k in (3, 4, 5)] + [BASES["z4/<2>"]]
@@ -369,8 +390,9 @@ def all_labels(text, start, end, keep):
 @given(st.lists(label_texts(), max_size=4), st.lists(st.integers(0, 1200), min_size=4),
        st.integers(0, 3))
 def test_label_count_matches_label_loop(texts, gaps, keep):
-    # runs of numerals between the label texts carry them into later pieces
-    # of the count, and the text lies inside a longer one
+    # runs of numerals between the label texts put them among the kept
+    # labels or past them, where they are only counted, and the text lies
+    # inside a longer one
     line = " ".join(t + " " + " ".join(map(str, range(gap))) for t, gap in zip(texts, gaps))
     text, start, end = f"x\n{line}\ny", 2, 2 + len(line)
     assert (parsed(lambda s: _labels(s, start, end, keep), text)
@@ -395,7 +417,7 @@ PAST_LAST_LABEL = {
 def test_roster_errors_past_the_last_label(error, roster, label, more, tmp_path):
     # the labels past the n-th are only counted, yet raise the first error
     # in token order, here behind 0 or 2,000 more labels and before the
-    # others; nested labels carry their depth across the pieces of the count
+    # others; a nested label counts once, when its outer tuple closes
     token, kind, message = PAST_LAST_LABEL[error]
     filler = " ".join(label.format(k) for k in range(6, 6 + more))
     for later in [""] + [other for key, (other, _, _) in PAST_LAST_LABEL.items() if key != error]:
