@@ -9,11 +9,7 @@ from .core import (
     cyclic,
     cyclic_group,
     elt_of_ord,
-    lcoset,
-    lift,
-    quotient,
     subgroup,
-    subgroupp,
     symmetric_group,
     validate_group,
 )

@@ -4,10 +4,10 @@ A group of order n is a duplicate-free element roster whose first entry is
 the identity, plus a read-only n x n integer array of roster indices: the
 Cayley table.  Elements are values (atoms or nested tuples), never indices, at
 every API boundary; indices live only inside tables.  Derived tables
-(subgroups, quotients, direct products), element orders and powers, cosets
-and products of subgroups are all computed on indices.  Tuples encode cosets
-(quotient elements) and direct-product tuples, so quotients and products
-nest one structural level per application.
+(subgroups, direct products), element orders and powers are all computed on
+indices, and the p-group split works on a group's indices modulo a subgroup
+rather than on quotient groups.  Tuples encode direct-product elements, so
+products nest one structural level per application.
 """
 from __future__ import annotations
 
@@ -301,14 +301,6 @@ def subgroup(g, roster):
     return FiniteGroup(roster, table)
 
 
-def subgroupp(h, g):
-    """Structural subgroup test: h is the subgroup of g on h's roster."""
-    try:
-        return subgroup(g, h.roster) == h
-    except DomainError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # element-level machinery
 
@@ -334,64 +326,6 @@ def elt_of_ord(n, g):
 
 def abelianp(g):
     return bool((g.table == g.table.T).all())
-
-
-# ---------------------------------------------------------------------------
-# cosets, quotients, lifting
-
-
-def _elements(g, rows):
-    """The elements of g at each row of an index array, as tuples."""
-    return tuple(tuple(g.roster[i] for i in row) for row in rows.tolist())
-
-
-def _coset_rows(h, g):
-    """Row x holds the g-indices of the left coset x*h in ascending order:
-    row x of g's table on h's columns, sorted."""
-    return np.sort(g.table[:, [g.index(y) for y in h.roster]], axis=1)
-
-
-def lcoset(x, h, g):
-    """The left coset x*h, ordered with respect to g."""
-    row = g.table[g.index(x), [g.index(y) for y in h.roster]]
-    return tuple(g.roster[i] for i in sorted(row.tolist()))
-
-
-def _normal_coset_rows(h, g):
-    """_coset_rows(h, g) if h is normal in g, else None: h is normal when
-    every left coset x*h is the right coset h*x."""
-    if not subgroupp(h, g):
-        raise DomainError("h is not a subgroup of g")
-    rows = _coset_rows(h, g)
-    right = np.sort(g.table[[g.index(y) for y in h.roster]].T, axis=1)
-    return rows if np.array_equal(rows, right) else None
-
-
-def quotient(g, n):
-    """The quotient group g/n: elements are the cosets of the normal n."""
-    rows = _normal_coset_rows(n, g)
-    if rows is None:
-        raise DomainError("quotient requires a normal subgroup")
-    is_rep = rows[:, 0] == np.arange(g.order)  # x is the first of its coset
-    reps = np.flatnonzero(is_rep)
-    home = (np.cumsum(is_rep) - 1)[rows[:, 0]]  # parent index -> coset index
-    return FiniteGroup(_elements(g, rows[reps]), home[g.table[reps][:, reps]])
-
-
-def lift(h, n, g):
-    """The subgroup of g obtained by concatenating the cosets belonging to h.
-
-    h must be a subgroup of quotient(g, n); its elements are cosets, and the
-    lift un-nests them.  order(lift) = order(h) * order(n).
-    """
-    roster = []
-    for c in h.roster:
-        if not isinstance(c, tuple):
-            raise DomainError("lift expects coset elements")
-        roster.extend(c)
-    if len(set(roster)) != len(roster):
-        raise DomainError("lift cosets overlap; h is not made of n-cosets")
-    return subgroup(g, roster)
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,22 @@
 """Splitting a non-cyclic abelian p-group into a maximal cyclic subgroup and a
 complement, then iterating to a full cyclic decomposition.
 
-The split works through the quotient by a small cyclic subgroup: pick a of
-maximal order, find an order-p coset in g/<a>, correct its representative by
-a power of a so that its p-th power is the identity, and go on in the
-quotient by the resulting order-p cyclic subgroup until it is cyclic, lifting
-the last one back up.  Arguments are checked once, at each public entry; the
-factor list is checked once, by `abelian_factorization`'s isomorphism check.
+The split works in g modulo one subgroup C, held as an array of g-indices:
+pick a of maximal order, find the first element of order p modulo <a>C,
+correct it by a power of a so that its p-th power lies in C, and grow C by
+the resulting y until <a>C is all of g; the last C is the complement.  By
+the third isomorphism theorem this is the paper's loop through the quotients
+g/C_1, (g/C_1)/(C_2/C_1), ..., without building them.  Arguments are
+checked once, at each public entry; the factor list is checked once, by
+`abelian_factorization`'s isomorphism check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    FiniteGroup,
-    abelianp,
-    cyclic,
-    elt_of_ord,
-    lcoset,
-    lift,
-    powers,
-    quotient,
-)
+import numpy as np
+
+from .core import FiniteGroup, abelianp, cyclic, elt_of_ord, subgroup
 from .errors import DomainError
 from .numtheory import least_prime_divisor, powerp, primep
 
@@ -82,40 +77,49 @@ def split_witness(a, p, g):
     elif g.element_order(a) != max_ord(g):
         failure = "a does not have maximal order"
     else:
-        return _split(a, p, g)
+        x, i, y = _split(g.index(a), p, g, np.zeros(1, np.intp))
+        y = g.roster[y]
+        return SplitData(a=a, x=g.roster[x], i=i, j=i // p, y=y, c=cyclic(y, g))
     raise DomainError(f"split preconditions unmet: {failure}")
 
 
-def _split(a, p, g):
-    """split_witness without its checks."""
-    # Cauchy guarantees an order-p element in the quotient, whose order p^k/|a| > 1
-    x = elt_of_ord(p, quotient(g, cyclic(a, g)))[0]
-    i = powers(g, a).index(g.power(x, p))
+def _split(ia, p, g, c):
+    """split_witness without its checks, on g-indices modulo the subgroup of
+    g on the indices c: (x, i, y) with x the first index of order p modulo
+    <a>c, x^p in the coset a^i c and y = a^(-i/p) * x, for a at index ia."""
+    ac = g.table[g._powers[:g._orders[ia], ia]][:, c]  # row i is the coset a^i c
+    in_ac = np.zeros(g.order, bool)
+    in_ac[ac] = True
+    # Cauchy guarantees an element of order p modulo <a>c, which is not all of g
+    x = int(np.argmax(np.argmax(in_ac[g._powers[1:]], axis=0) == p - 1))
+    i = int(np.argwhere(ac == g._powers[p, x])[0, 0])
     if i % p != 0:
         raise DomainError("internal inconsistency: i not divisible by p")
-    j = i // p
-    y = g.op(g.power(g.inv(a), j), x)
-    return SplitData(a=a, x=x, i=i, j=j, y=y, c=cyclic(y, g))
+    return x, i, int(g.table[g._power_row(-(i // p))[ia], x])
 
 
 def complement_subgroup(a, p, g):
     """A subgroup g2 with <a> * g2 = g and <a> meeting g2 trivially.
 
-    Split off an order-p cyclic subgroup c and go on in g/c with a's coset
-    until g/c is cyclic; g2 is the last c, lifted back level by level.  Only
-    the first level is checked: g/c is again an abelian p-group, and a's
-    coset keeps maximal order as c meets <a> trivially.
+    Grow a subgroup C of g from {e}: each split's y, taken modulo C, makes C
+    the union of the cosets y^t C for t < p, until <a>C is g; g2 is the last
+    C.  Only the first split is checked: a's coset keeps maximal order
+    modulo C, as C meets <a> trivially, so <a>C is g when ord(a) |C| = |g|.
+    g2's roster is the order in which the quotients g/C_1, (g/C_1)/(C_2/C_1),
+    ... would lift it back: the cosets y^t C that make up g2 in order of t,
+    each ordered by its elements' least g-index modulo each earlier C, the
+    latest first, then by their own g-index.
     """
-    sd = split_witness(a, p, g)
-    levels = []
-    while not cyclicp(gstar := quotient(g, sd.c)):
-        levels.append((sd.c, g))
-        a, g = lcoset(a, sd.c, g), gstar
-        sd = _split(a, p, g)
-    g2 = sd.c
-    for c, g in reversed(levels):
-        g2 = lift(g2, c, g)
-    return g2
+    ia, y = g.index(a), g.index(split_witness(a, p, g).y)
+    c, keys = np.zeros(1, np.intp), []
+    # row t of cosets is y^t c
+    while g._orders[ia] * (cosets := g.table[g._powers[:p, y]][:, c]).size < g.order:
+        keys.append(g.table[:, c].min(axis=1))  # least g-index modulo c
+        c = cosets.ravel()
+        y = _split(ia, p, g, c)[2]
+    g2 = cosets.ravel()
+    order = np.lexsort([key[g2] for key in keys] + [np.arange(p).repeat(len(c))])
+    return subgroup(g, [g.roster[k] for k in g2[order].tolist()])
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 The ACL2 development states its proof steps as functions: the gcd with
 Bezout coefficients, the split of an abelian group of relatively-prime
 order m*n into its subgroups of orders m and n, the Bezout split of an
-element, the element orderings of a roster, left cosets, normality,
-intersections and the trivial subgroup, the splitting contract of a
-p-group, products of subgroups and the counting argument behind their
+element, the element orderings of a roster, the structural subgroup test,
+left cosets, quotient groups of cosets and the lift of their subgroups back
+to the parent, normality, intersections and the trivial subgroup, the
+splitting contract of a p-group, products of subgroups and the counting argument behind their
 size, internal direct products and their appending, the power of a direct
 product, and the order reduction of the uniqueness contraction.  No CLI
 verb, selftest or script calls them, so they live here, beside the tests
@@ -16,14 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from grouptables.abelian import subgroup_ord_dividing
-from grouptables.core import (
-    _coset_rows,
-    _elements,
-    _normal_coset_rows,
-    lcoset,
-    subgroup,
-    subgroupp,
-)
+from grouptables.core import FiniteGroup, subgroup
 from grouptables.errors import DomainError
 from grouptables.numtheory import check_nat, primep
 from grouptables.pgroup import cyclicp
@@ -32,7 +26,69 @@ from grouptables.uniqueness import delete_trivial, group_power, group_power_list
 
 
 # ---------------------------------------------------------------------------
-# core: cosets, normality, intersections
+# core: subgroups, cosets, quotients, lifting, normality, intersections
+
+
+def subgroupp(h, g):
+    """Structural subgroup test: h is the subgroup of g on h's roster."""
+    try:
+        return subgroup(g, h.roster) == h
+    except DomainError:
+        return False
+
+
+def _elements(g, rows):
+    """The elements of g at each row of an index array, as tuples."""
+    return tuple(tuple(g.roster[i] for i in row) for row in rows.tolist())
+
+
+def _coset_rows(h, g):
+    """Row x holds the g-indices of the left coset x*h in ascending order:
+    row x of g's table on h's columns, sorted."""
+    return np.sort(g.table[:, [g.index(y) for y in h.roster]], axis=1)
+
+
+def lcoset(x, h, g):
+    """The left coset x*h, ordered with respect to g."""
+    row = g.table[g.index(x), [g.index(y) for y in h.roster]]
+    return tuple(g.roster[i] for i in sorted(row.tolist()))
+
+
+def _normal_coset_rows(h, g):
+    """_coset_rows(h, g) if h is normal in g, else None: h is normal when
+    every left coset x*h is the right coset h*x."""
+    if not subgroupp(h, g):
+        raise DomainError("h is not a subgroup of g")
+    rows = _coset_rows(h, g)
+    right = np.sort(g.table[[g.index(y) for y in h.roster]].T, axis=1)
+    return rows if np.array_equal(rows, right) else None
+
+
+def quotient(g, n):
+    """The quotient group g/n: elements are the cosets of the normal n."""
+    rows = _normal_coset_rows(n, g)
+    if rows is None:
+        raise DomainError("quotient requires a normal subgroup")
+    is_rep = rows[:, 0] == np.arange(g.order)  # x is the first of its coset
+    reps = np.flatnonzero(is_rep)
+    home = (np.cumsum(is_rep) - 1)[rows[:, 0]]  # parent index -> coset index
+    return FiniteGroup(_elements(g, rows[reps]), home[g.table[reps][:, reps]])
+
+
+def lift(h, n, g):
+    """The subgroup of g obtained by concatenating the cosets belonging to h.
+
+    h must be a subgroup of quotient(g, n); its elements are cosets, and the
+    lift un-nests them.  order(lift) = order(h) * order(n).
+    """
+    roster = []
+    for c in h.roster:
+        if not isinstance(c, tuple):
+            raise DomainError("lift expects coset elements")
+        roster.extend(c)
+    if len(set(roster)) != len(roster):
+        raise DomainError("lift cosets overlap; h is not made of n-cosets")
+    return subgroup(g, roster)
 
 
 def trivial_subgroup(g):

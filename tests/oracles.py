@@ -10,19 +10,22 @@ element orders, powers and inverses are stepped or scanned on the table
 rather than read from its power table, left cosets are
 read from a membership mask and normality from conjugates rather than both
 from sorted table columns, the uniqueness contraction map is composed from
-three maps rather than built in one pass, the p-group complement
-recurses with every level checked, and the abelian factorization carries
+three maps rather than built in one pass, the p-group split is read off
+the quotient groups g/<a> rather than computed on g's indices modulo a
+subgroup, the p-group complement recurses through those quotients with
+every level checked, and the abelian factorization carries
 each prime block's relatively-prime complement to the next step rather
 than reading every block off the input group.
 
 They are not yet free of the code under test: they build on the library's
-`abelianp`, `lcoset`, `lift`, `quotient`, `subgroup`, `subgroupp`,
-`subgroup_ord_dividing`, `split_witness`, `cyclicp`,
+`abelianp`, `cyclic`, `elt_of_ord`, `powers`, `subgroup`,
+`subgroup_ord_dividing`, `SplitData`, `split_witness`, `cyclicp`,
 `cyclic_p_subgroup_list`, `group_power_list`, `delete_trivial`,
 `delete_trivial_elt`, `group_tuples`, `map_from_function`, `GroupMap` and
-`parse_numerals`, and on `FiniteGroup`'s `op`, `power`,
-`element_order` and `_powers`.  Replacing them with plain-list arithmetic
-is an open item on ROADMAP.md.
+`parse_numerals`, on `FiniteGroup`'s `op`, `power`, `inv`,
+`element_order` and `_powers`, and on `lcoset`, `lift`, `quotient` and
+`subgroupp`, which tests/lemmas.py holds.  Replacing them with plain-list
+arithmetic is an open item on ROADMAP.md.
 """
 from __future__ import annotations
 
@@ -36,18 +39,19 @@ from grouptables.core import (
     MAX_DEPTH,
     MAX_ORDER,
     abelianp,
-    lcoset,
-    lift,
-    quotient,
+    cyclic,
+    elt_of_ord,
+    powers,
     subgroup,
-    subgroupp,
 )
 from grouptables.errors import DomainError, ResourceError
 from grouptables.fileformat import parse_numerals
 from grouptables.gmaps import GroupMap, map_from_function
-from grouptables.pgroup import cyclic_p_subgroup_list, cyclicp, split_witness
+from grouptables.pgroup import SplitData, cyclic_p_subgroup_list, cyclicp, split_witness
 from grouptables.products import group_tuples
 from grouptables.uniqueness import delete_trivial, delete_trivial_elt, group_power_list
+
+from lemmas import lcoset, lift, quotient, subgroupp
 
 
 def naive_gcd(m, n):
@@ -428,13 +432,27 @@ def composed_reduce_cyclic_iso(iso, l, m, p):
     return compose_maps(contract_m, compose_maps(iso, expand))
 
 
+def quotient_split(a, p, g):
+    """The library's former pgroup._split: x is the first element of the
+    first order-p coset of the quotient g/<a>, and y = a^(-j) * x."""
+    # Cauchy guarantees an order-p element in the quotient, whose order p^k/|a| > 1
+    x = elt_of_ord(p, quotient(g, cyclic(a, g)))[0]
+    i = powers(g, a).index(g.power(x, p))
+    if i % p != 0:
+        raise DomainError("internal inconsistency: i not divisible by p")
+    j = i // p
+    y = g.op(g.power(g.inv(a), j), x)
+    return SplitData(a=a, x=x, i=i, j=j, y=y, c=cyclic(y, g))
+
+
 def recursive_complement_subgroup(a, p, g):
     """The library's former pgroup.complement_subgroup: split off an
-    order-p cyclic subgroup c, with the split's preconditions checked at
-    every level; if g/c is cyclic the complement is c, otherwise the
-    complement of a's coset in g/c, found by recursion, lifted back
-    through c."""
-    sd = split_witness(a, p, g)
+    order-p cyclic subgroup c through quotient_split, with the split's
+    preconditions checked by split_witness at every level; if g/c is cyclic
+    the complement is c, otherwise the complement of a's coset in g/c,
+    found by recursion, lifted back through c."""
+    split_witness(a, p, g)
+    sd = quotient_split(a, p, g)
     gstar = quotient(g, sd.c)
     if cyclicp(gstar):
         return sd.c

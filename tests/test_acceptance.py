@@ -18,8 +18,6 @@ from grouptables.core import (
     cyclic,
     cyclic_group,
     elt_of_ord,
-    lift,
-    quotient,
     symmetric_group,
 )
 from grouptables.gmaps import classify, homomorphism_check, image, kernel, map_from_function
@@ -36,10 +34,12 @@ from grouptables.uniqueness import (
 from lemmas import (
     group_intersection,
     internal_direct_product_p,
+    lift,
     lift_cosets,
     normalp,
     product_group,
     products,
+    quotient,
 )
 from oracles import (
     all_subgroups,

@@ -6,7 +6,9 @@ prime powers (`zn q` for one factor), and run through `factor`, `info` and
 sha256 per verb covers every request's argv, exit code, stdout and stderr,
 in this order, so a deliberate change of output shows as a changed line of
 DIGESTS.  The claims in `factor`'s output are checked against the type as
-the digests are computed.
+the digests are computed, and its lines are checked as a certificate of the
+group `cayley` prints by tests/certcheck.py, which imports nothing from the
+library.
 """
 import contextlib
 import hashlib
@@ -19,6 +21,7 @@ import pytest
 
 from grouptables.cli import main
 
+from certcheck import check_certificate
 from oracles import abelian_types, invariant_factors
 
 DIGESTS = {
@@ -79,3 +82,9 @@ def test_printed_generators_have_the_printed_orders(form):
         for order, coords in factors_printed(moduli):
             # the order of (c1, ..., ck) in Z_n1 x ... x Z_nk
             assert math.lcm(*(n // math.gcd(c, n) for c, n in zip(coords, moduli))) == order, moduli
+
+
+def test_factor_output_is_a_certificate():
+    for t in TYPES:
+        argv = expression(t)
+        assert check_certificate(run("cayley", *argv)[1], run("factor", *argv)[1]) is None, t

@@ -7,18 +7,13 @@ from hypothesis import given, strategies as st
 from grouptables.core import (
     FiniteGroup,
     GroupAxiomError,
-    _coset_rows,
     abelianp,
     check_group,
     cyclic,
     cyclic_group,
     elt_of_ord,
-    lcoset,
-    lift,
     powers,
-    quotient,
     subgroup,
-    subgroupp,
     symmetric_group,
     validate_group,
 )
@@ -26,7 +21,19 @@ from grouptables.errors import DomainError
 from grouptables.products import direct_product
 
 from conftest import relabelled
-from lemmas import group_intersection, lcosets, normalp, ord_insert, ordp, trivial_subgroup
+from lemmas import (
+    _coset_rows,
+    group_intersection,
+    lcoset,
+    lcosets,
+    lift,
+    normalp,
+    ord_insert,
+    ordp,
+    quotient,
+    subgroupp,
+    trivial_subgroup,
+)
 from oracles import all_subgroups, conjugated_normalp, generated_subgroup, masked_coset_rows
 
 

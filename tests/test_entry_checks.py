@@ -8,7 +8,6 @@ from grouptables.core import (
     cyclic,
     cyclic_group,
     elt_of_ord,
-    lift,
     subgroup,
     symmetric_group,
 )
@@ -20,7 +19,7 @@ from grouptables.pgroup import cyclic_p_subgroup_list, p_groupp, split_witness
 from grouptables.products import direct_product
 from grouptables.uniqueness import first_prime, group_power, verify_unique_factorization
 
-from lemmas import internal_direct_product_p, lcosets, normalp, products, rel_prime_split
+from lemmas import internal_direct_product_p, lcosets, lift, normalp, products, rel_prime_split
 from oracles import generated_subgroup
 
 Z2, Z4, Z6, Z12 = (cyclic_group(n) for n in (2, 4, 6, 12))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grouptables.core import cyclic, cyclic_group, quotient, symmetric_group
+from grouptables.core import cyclic, cyclic_group, symmetric_group
 from grouptables.errors import DomainError, ResourceError
 from grouptables.fileformat import (
     format_element,
@@ -15,6 +15,8 @@ from grouptables.fileformat import (
 )
 from grouptables.gmaps import identity_map, map_from_function
 from grouptables.products import direct_product
+
+from lemmas import quotient
 
 
 class TestElements:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grouptables import cli
-from grouptables.core import MAX_DEPTH, cyclic, cyclic_group, quotient, symmetric_group
+from grouptables.core import MAX_DEPTH, cyclic, cyclic_group, symmetric_group
 from grouptables.errors import DomainError, ResourceError
 from grouptables.fileformat import (
     _TOKENS,
@@ -33,6 +33,7 @@ from grouptables.fileformat import (
 from grouptables.products import direct_product
 
 from conftest import relabelled
+from lemmas import quotient
 from oracles import (
     fromstring_index_array,
     parse_elements_recursive,

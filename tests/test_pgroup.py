@@ -1,3 +1,6 @@
+import random
+from functools import cache
+
 import pytest
 
 from grouptables.core import cyclic, cyclic_group, elt_of_ord
@@ -17,11 +20,24 @@ from grouptables.products import direct_product, product_orders
 
 from conftest import dp_cyclic_corpus
 from lemmas import desired_properties_check, group_intersection, internal_direct_product_p
-from oracles import recursive_complement_subgroup
+from oracles import is_prime_power, quotient_split, recursive_complement_subgroup
 
 
 def dp(*ns):
     return direct_product([cyclic_group(n) for n in ns])
+
+
+@cache
+def maximal_order_splits(min_order, max_order):
+    """(p, g, every a of maximal order in g) for each non-cyclic abelian
+    p-group g, as a direct product of cyclic groups, of order in range."""
+    out = []
+    for n in filter(is_prime_power, range(min_order, max_order + 1)):
+        for _, g in dp_cyclic_corpus(n, n):
+            if not cyclicp(g):
+                out.append((least_prime_divisor(n), g,
+                            [a for a in g.roster if g.element_order(a) == max_ord(g)]))
+    return out
 
 
 class TestPredicates:
@@ -104,18 +120,31 @@ class TestComplement:
 class TestComplementOracle:
     def test_loop_equals_recursive_reference(self):
         """Exact equality, roster order included, over every non-cyclic
-        abelian p-group of order <= 64 and every a of maximal order."""
+        abelian p-group of order <= 64 and every a of maximal order, and
+        over a seeded sample of at most 6 such a in each of order 65..256."""
         groups = checked = 0
-        for _, g in dp_cyclic_corpus(64):
-            p = least_prime_divisor(g.order)
-            if not p_groupp(g, p) or cyclicp(g):
-                continue
+        for p, g, maximal in maximal_order_splits(2, 64):
             groups += 1
-            for a in g.roster:
-                if g.element_order(a) == max_ord(g):
-                    assert complement_subgroup(a, p, g) == recursive_complement_subgroup(a, p, g)
-                    checked += 1
+            for a in maximal:
+                assert complement_subgroup(a, p, g) == recursive_complement_subgroup(a, p, g)
+                checked += 1
         assert groups == 28 and checked > groups
+        rng, larger = random.Random(21), maximal_order_splits(65, 256)
+        for p, g, maximal in larger:
+            for a in rng.sample(maximal, min(6, len(maximal))):
+                assert complement_subgroup(a, p, g) == recursive_complement_subgroup(a, p, g)
+        assert len(larger) == 49
+
+    def test_split_equals_quotient_split(self):
+        """The whole SplitData, c included, against the split read off the
+        quotient g/<a>, for every a of maximal order in every non-cyclic
+        abelian p-group of order <= 64."""
+        checked = 0
+        for p, g, maximal in maximal_order_splits(2, 64):
+            for a in maximal:
+                assert split_witness(a, p, g) == quotient_split(a, p, g)
+                checked += 1
+        assert checked == 707
 
     @pytest.mark.parametrize("p, ns", [(2, (2, 2, 2, 2)), (2, (2, 4, 8)), (3, (3, 3, 9))])
     def test_split_checked_once_per_complement(self, p, ns, split_calls):
@@ -176,7 +205,7 @@ class TestFactorization:
 
 
 def test_astar_preserves_max_ord():
-    from grouptables.core import lcoset, quotient
+    from lemmas import lcoset, quotient
 
     g = dp(2, 4)
     a = elt_of_ord(max_ord(g), g)
