@@ -10,6 +10,11 @@ group isomorphic to the product, so no n^3 axiom check is needed: the
 checker reads the group text that `cayley` prints (`group n`, the roster
 line, n rows of indices) with its own label split, and makes n^2 table
 lookups.  Standard library only.
+
+`unique L -- M FILE` takes a map file of `x -> y` lines, x and y tuples of
+coordinates, as its certificate.  check_map_certificate accepts it when the
+lines are a bijection from Z_l1 x ... x Z_lk onto Z_m1 x ... x Z_mj and a
+homomorphism, read against the two sum tables: again n^2 lookups.
 """
 import re
 from math import prod
@@ -131,4 +136,52 @@ def check_certificate(group_text, factor_text):
         products = t[images[u]]
         if [products[y] for y in images] != [images[w] for w in row]:
             return "the generators' products are not a homomorphism"
+    return None
+
+
+def read_tuple(label):
+    """The coordinates of a `(c1 c2 ...)` label."""
+    label = label.strip()
+    parts = label[1:-1].split()
+    if label[:1] != "(" or label[-1:] != ")" or not all(map(str.isdecimal, parts)):
+        raise ValueError(f"not a tuple of numerals: {label!r}")
+    return tuple(map(int, parts))
+
+
+def tuple_index(x, orders):
+    """The mixed-radix index of x in Z_q1 x ... x Z_qk, the last coordinate
+    running fastest as in sum_table, or None if x is not an element."""
+    if len(x) != len(orders) or not all(0 <= c < q for c, q in zip(x, orders)):
+        return None
+    k = 0
+    for c, q in zip(x, orders):
+        k = k * q + c
+    return k
+
+
+def check_map_certificate(l, m, map_text):
+    """None if the `x -> y` lines of map_text are an isomorphism from
+    Z_l1 x ... x Z_lk onto Z_m1 x ... x Z_mj, else the first reason they
+    are not."""
+    images = [None] * prod(l)
+    for ln in filter(str.strip, map_text.splitlines()):
+        left, arrow, right = ln.partition("->")
+        try:
+            u, v = tuple_index(read_tuple(left), l), tuple_index(read_tuple(right), m)
+        except ValueError as e:
+            return f"bad map line {ln!r}: {e}" if arrow else f"not a map line: {ln!r}"
+        if u is None or v is None:
+            return f"{ln!r} is not a pair of elements"
+        if images[u] is not None:
+            return f"{left.strip()} is mapped twice"
+        images[u] = v
+    if None in images:
+        return "the map does not cover the domain"
+    if sorted(images) != list(range(prod(m))):
+        return "the map is not a bijection"
+    codomain_sums = sum_table(m)
+    for u, row in enumerate(sum_table(l)):
+        sums = codomain_sums[images[u]]
+        if [images[w] for w in row] != [sums[v] for v in images]:
+            return "the map is not a homomorphism"
     return None

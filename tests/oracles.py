@@ -17,41 +17,32 @@ every level checked, and the abelian factorization carries
 each prime block's relatively-prime complement to the next step rather
 than reading every block off the input group.
 
-They are not yet free of the code under test: they build on the library's
-`abelianp`, `cyclic`, `elt_of_ord`, `powers`, `subgroup`,
-`subgroup_ord_dividing`, `SplitData`, `split_witness`, `cyclicp`,
-`cyclic_p_subgroup_list`, `group_power_list`, `delete_trivial`,
-`delete_trivial_elt`, `group_tuples`, `map_from_function`, `GroupMap` and
-`parse_numerals`, on `FiniteGroup`'s `op`, `power`, `inv`,
-`element_order` and `_powers`, and on `lcoset`, `lift`, `quotient` and
-`subgroupp`, which tests/lemmas.py holds.  Replacing them with plain-list
-arithmetic is an open item on ROADMAP.md.
+The oracles read a library group in one way, `plain(g)`: its roster, each
+element's roster index and its table as lists of ints.  Orders, powers,
+closures and subgroups (`restricted`) are computed on those lists, and a
+map is read from its `pairs` alone.  Only the three verbatim references
+`quotient_split`, `recursive_complement_subgroup` and
+`chained_cyclic_subgroup_list`, whose purpose is to be the library's former
+code, build on the library: on its `abelianp`, `cyclic`, `cyclicp`,
+`cyclic_p_subgroup_list`, `elt_of_ord`, `powers`, `split_witness`,
+`subgroup_ord_dividing` and `SplitData`, on `FiniteGroup`'s `op`, `power`
+and `inv`, and on `lcoset`, `lift` and `quotient`, which tests/lemmas.py
+holds.  tests/test_certcheck.py fails if any other oracle reaches further.
 """
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
 from grouptables.abelian import subgroup_ord_dividing
-from grouptables.core import (
-    MAX_DEPTH,
-    MAX_ORDER,
-    abelianp,
-    cyclic,
-    elt_of_ord,
-    powers,
-    subgroup,
-)
+from grouptables.core import MAX_DEPTH, MAX_ORDER, FiniteGroup, abelianp, cyclic, elt_of_ord, powers
 from grouptables.errors import DomainError, ResourceError
-from grouptables.fileformat import parse_numerals
-from grouptables.gmaps import GroupMap, map_from_function
+from grouptables.gmaps import GroupMap
 from grouptables.pgroup import SplitData, cyclic_p_subgroup_list, cyclicp, split_witness
-from grouptables.products import group_tuples
-from grouptables.uniqueness import delete_trivial, delete_trivial_elt, group_power_list
 
-from lemmas import lcoset, lift, quotient, subgroupp
+from lemmas import lcoset, lift, quotient
 
 
 def naive_gcd(m, n):
@@ -219,73 +210,115 @@ def stepped_orders(g):
     return orders
 
 
+def plain(g):
+    """(roster, index, table) of g as plain lists: the roster, a dict from
+    each element to its roster index, and the Cayley table as n lists of n
+    ints.  The one way the oracles read a library group."""
+    return list(g.roster), {x: i for i, x in enumerate(g.roster)}, g.table.tolist()
+
+
+def cycle(t, i):
+    """The walk 0, i, i^2, ... on the table t, up to (but excluding) the
+    first return to 0."""
+    out = [0]
+    while (j := t[out[-1]][i]) != 0:
+        out.append(j)
+    return out
+
+
+def closure(t, gens):
+    """The ascending indices that gens generate under t: 0 and everything
+    reached from it by right multiplication by a generator."""
+    inside, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for a in gens:
+            if (y := t[x][a]) not in inside:
+                inside.add(y)
+                frontier.append(y)
+    return sorted(inside)
+
+
+def restricted(g, idx):
+    """The oracle's own subgroup: g's rows and columns idx, in that order,
+    renumbered 0 ... len(idx) - 1.  idx must start at 0 and be closed."""
+    roster, _, t = plain(g)
+    local = {i: k for k, i in enumerate(idx)}
+    return FiniteGroup(tuple(roster[i] for i in idx),
+                       [[local[t[i][j]] for j in idx] for i in idx])
+
+
+def _abelian(t):
+    """The table t equals its transpose."""
+    return [list(col) for col in zip(*t)] == t
+
+
 def walked_powers(g, a):
     """[e, a, a^2, ...] up to (but excluding) the first repeat of e, by a
     walk along a's cycle: the library's former core.powers."""
-    i, out = g.index(a), [0]
-    while (j := g.table.item(out[-1], i)) != 0:
-        out.append(j)
-    return tuple(g.roster[j] for j in out)
+    roster, pos, t = plain(g)
+    return tuple(roster[j] for j in cycle(t, pos[a]))
 
 
 def walked_power(g, x, n):
     """x^n as the n mod ord(x)-th entry of x's walked cycle: the library's
     former FiniteGroup.power."""
-    cycle = walked_powers(g, x)
-    return cycle[n % len(cycle)]
+    cyc = walked_powers(g, x)
+    return cyc[n % len(cyc)]
 
 
 def scanned_inv(g, x):
     """The column of the identity in x's row: the library's former
     FiniteGroup.inv."""
-    return g.roster[int(np.argmax(g.table[g.index(x)] == 0))]
+    roster, pos, t = plain(g)
+    return roster[t[pos[x]].index(0)]
 
 
 def squared_group_power(n, g):
     """The subgroup of n-th powers of an abelian group, in g order, by
     repeated squaring on indices: the library's former
     uniqueness.group_power."""
-    if not abelianp(g):
+    t = plain(g)[2]
+    if not _abelian(t):
         raise DomainError("group-power needs an abelian group")
     if n < 1:
         raise DomainError("n must be >= 1")
     # x^n for every x at once, by repeated squaring on indices
-    t, acc, base = g.table, np.zeros(g.order, dtype=np.intp), np.arange(g.order)
+    acc, base = [0] * len(t), list(range(len(t)))
     while n:
         if n & 1:
-            acc = t[acc, base]
-        base, n = t[base, base], n >> 1
-    hit = np.zeros(g.order, dtype=bool)
-    hit[acc] = True
-    return subgroup(g, tuple(g.roster[i] for i in np.flatnonzero(hit)))
+            acc = [t[a][b] for a, b in zip(acc, base)]
+        base, n = [t[b][b] for b in base], n >> 1
+    return restricted(g, sorted(set(acc)))
 
 
 def masked_coset_rows(h, g):
     """Row x holds the g-indices of the left coset x*h in ascending order,
-    read from an n x n membership mask: the library's former
-    core._coset_rows.
+    read from a membership mask: the library's former core._coset_rows.
 
     Each row of g's table is a permutation, so x*h has exactly |h| members,
-    and row x of the membership mask lists them in ascending order.
+    and asking each index of g in turn whether it is one lists them in
+    ascending order.
     """
-    n = g.order
-    member = np.zeros((n, n), dtype=bool)
-    member[np.arange(n)[:, None], g.table[:, [g.index(y) for y in h.roster]]] = True
-    return np.nonzero(member)[1].reshape(n, h.order)
+    _, pos, t = plain(g)
+    idx = [pos[y] for y in h.roster]
+    cosets = ({row[j] for j in idx} for row in t)
+    return [[k for k in range(len(t)) if k in coset] for coset in cosets]
 
 
 def conjugated_normalp(h, g):
     """Every conjugate x * (y * x^-1) of a member y of h lies in h: the
     library's former core.normalp."""
-    if not subgroupp(h, g):
+    _, pos, t = plain(g)
+    idx = [pos.get(y) for y in h.roster]
+    members = set(idx)
+    # h must be the subgroup of g on its own roster
+    if (idx[:1] != [0] or None in members or len(members) != len(idx)
+            or any(t[i][j] not in members for i in idx for j in idx)
+            or restricted(g, idx) != h):
         raise DomainError("h is not a subgroup of g")
-    t, inv = g.table, g._powers[-2]  # inv[x] = x^(e-1)
-    emb = [g.index(y) for y in h.roster]
-    member = np.zeros(g.order, dtype=bool)
-    member[emb] = True
-    # conj[x, k] = x * (h_k * x^-1)
-    conj = np.take_along_axis(t, t[emb][:, inv].T, axis=1)
-    return bool(member[conj].all())
+    inv = [row.index(0) for row in t]
+    return all(t[x][t[y][inv[x]]] in members for x in range(len(t)) for y in idx)
 
 
 def tokenize_chars(text):
@@ -311,6 +344,15 @@ def tokenize_chars(text):
     return out
 
 
+def _ints(tokens):
+    """int() of each decimal token; one longer than int() converts is a
+    ResourceError, as in the library."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise ResourceError("a numeral exceeds the integer conversion limit") from None
+
+
 def _parse_one(tokens, k, depth=0):
     """The element starting at tokens[k], inside depth open parentheses."""
     if k >= len(tokens):
@@ -330,7 +372,7 @@ def _parse_one(tokens, k, depth=0):
     if t == ")":
         raise DomainError("unexpected ')' in element text")
     if t.removeprefix("-").isdecimal():
-        return parse_numerals([t])[0], k + 1
+        return _ints([t])[0], k + 1
     return t, k + 1
 
 
@@ -356,7 +398,7 @@ def parse_group_rows(text):
     head = lines[0].split()
     if len(head) != 2 or head[0] != "group" or not head[1].isdecimal():
         raise DomainError(f"bad header line: {lines[0]!r}")
-    n = parse_numerals([head[1]])[0]
+    n = _ints([head[1]])[0]
     if n > MAX_ORDER:
         raise ResourceError(f"group file order {n} exceeds the {MAX_ORDER} guard")
     if len(lines) != n + 2:
@@ -369,7 +411,7 @@ def parse_group_rows(text):
         row = ln.split()
         if len(row) != n or not all(map(str.isdecimal, row)):
             raise DomainError(f"bad table row: {ln!r}")
-        table.append(parse_numerals(row))
+        table.append(_ints(row))
     return tuple(roster), tuple(table)
 
 
@@ -405,20 +447,22 @@ def delete_trivial_iso(l):
     isomorphism from direct_product(l) onto the product of the non-trivial
     members; requires at least one non-trivial member.  The library's
     former uniqueness.delete_trivial_iso."""
-    l = list(l)
-    if not delete_trivial(l):
+    rosters = [g.roster for g in l]
+    keep = [len(r) > 1 for r in rosters]
+    if not any(keep):
         raise DomainError("delete-trivial-iso needs a non-trivial member")
-    return map_from_function(group_tuples(l), lambda x: delete_trivial_elt(x, l))
+    return GroupMap(tuple((x, tuple(c for c, k in zip(x, keep) if k))
+                          for x in product(*rosters)))
 
 
 def compose_maps(m2, m1):
     """m2 after m1, on the domain of m1."""
+    outer = dict(m2.pairs)
     pairs = []
-    for x in m1.domain:
-        y = m1.apply(x)
-        if y not in m2._table:
+    for x, y in m1.pairs:
+        if y not in outer:
             raise DomainError(f"composition escapes the outer domain at {y!r}")
-        pairs.append((x, m2.apply(y)))
+        pairs.append((x, outer[y]))
     return GroupMap(tuple(pairs))
 
 
@@ -426,8 +470,8 @@ def composed_reduce_cyclic_iso(iso, l, m, p):
     """The library's former uniqueness.reduce_cyclic_iso, built as a
     composition: un-contracting on the l side (the swapped pairs of the
     l-side contraction), then iso, then contracting on the m side."""
-    contract_l = delete_trivial_iso(group_power_list(p, l))
-    contract_m = delete_trivial_iso(group_power_list(p, m))
+    contract_l = delete_trivial_iso([squared_group_power(p, g) for g in l])
+    contract_m = delete_trivial_iso([squared_group_power(p, g) for g in m])
     expand = GroupMap(tuple((y, x) for x, y in contract_l.pairs))
     return compose_maps(contract_m, compose_maps(iso, expand))
 
@@ -482,85 +526,69 @@ def chained_cyclic_subgroup_list(g):
 
 def generated_subgroup(g, gens):
     """Closure of gens under the operation, as a g-ordered subgroup."""
-    elems = {g.identity}
-    frontier = [g.identity]
-    gens = list(gens)
-    while frontier:
-        x = frontier.pop()
-        for a in gens:
-            y = g.op(x, a)
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
-    roster = tuple(x for x in g.roster if x in elems)
-    return subgroup(g, roster)
+    _, pos, t = plain(g)
+    return restricted(g, closure(t, [pos[a] for a in gens]))
 
 
 def all_subgroups(g):
     """Every subgroup of g, found by closing generator sets from below."""
-    triv = generated_subgroup(g, [])
-    subs = {frozenset(triv.roster): triv}
-    frontier = [triv]
+    t = plain(g)[2]
+    subs, frontier = {(0,): None}, [(0,)]  # subs: the index tuples found, in order
     while frontier:
         h = frontier.pop()
-        for x in g.roster:
+        for x in range(len(t)):
             if x in h:
                 continue
-            k = generated_subgroup(g, list(h.roster) + [x])
-            key = frozenset(k.roster)
-            if key not in subs:
-                subs[key] = k
+            k = tuple(closure(t, [*h, x]))
+            if k not in subs:
+                subs[k] = None
                 frontier.append(k)
-    return list(subs.values())
+    return [restricted(g, k) for k in subs]
 
 
 def brute_force_isomorphism(g, h):
     """An isomorphism g -> h as a GroupMap, or None if none exists.
 
     Orders <= 8 try every identity-fixing bijection; larger (abelian)
-    groups use a generator-image backtracking search.
+    groups use a generator-image backtracking search.  Both work on the
+    index rows of the two tables.
     """
     if g.order != h.order:
         return None
-    if g.order <= 8:
-        rest = g.roster[1:]
-        for image in permutations(h.roster[1:]):
-            m = dict(zip(rest, image))
-            m[g.identity] = h.identity
-            if all(
-                m[g.op(x, y)] == h.op(m[x], m[y])
-                for x in g.roster
-                for y in g.roster
-            ):
-                return GroupMap(tuple((x, m[x]) for x in g.roster))
+    (gr, _, tg), (hr, _, th) = plain(g), plain(h)
+    n = len(tg)
+    if n <= 8:
+        for image in permutations(range(1, n)):
+            m = (0, *image)
+            if all(m[tg[x][y]] == th[m[x]][m[y]] for x in range(n) for y in range(n)):
+                return GroupMap(tuple((gr[x], hr[m[x]]) for x in range(n)))
         return None
-    return _generator_image_search(g, h)
+    found = _generator_image_search(tg, th)
+    if found is None:
+        return None
+    return GroupMap(tuple((gr[x], hr[found[x]]) for x in range(n)))
 
 
-def _greedy_generators(g):
-    gens = []
-    covered = {g.identity}
-    for x in sorted(g.roster, key=lambda x: -g.element_order(x)):
-        if len(covered) == g.order:
+def _greedy_generators(t, cycles):
+    gens, covered = [], {0}
+    for x in sorted(range(len(t)), key=lambda x: -len(cycles[x])):
+        if len(covered) == len(t):
             break
         if x not in covered:
             gens.append(x)
-            covered = set(generated_subgroup(g, gens).roster)
+            covered = set(closure(t, gens))
     return gens
 
 
-def _extend_partial(D, x, y, g, h):
-    """Extend a partial isomorphism (defined on a subgroup) by x -> y."""
-    ordx = g.element_order(x)
-    if h.element_order(y) != ordx:
+def _extend_partial(D, cx, cy, tg, th):
+    """Extend a partial isomorphism (defined on a subgroup) by x -> y, given
+    the cycles cx of x and cy of y."""
+    if len(cy) != len(cx):
         return None
     new = dict(D)
-    for e in range(1, ordx):
-        xe = g.power(x, e)
-        ye = h.power(y, e)
-        for s, t in D.items():
-            z = g.op(s, xe)
-            w = h.op(t, ye)
+    for xe, ye in zip(cx[1:], cy[1:]):
+        for s, u in D.items():
+            z, w = tg[s][xe], th[u][ye]
             if new.get(z, w) != w:
                 return None
             new[z] = w
@@ -569,25 +597,24 @@ def _extend_partial(D, x, y, g, h):
     return new
 
 
-def _generator_image_search(g, h):
-    assert abelianp(g) and abelianp(h), "generator-image search is abelian-only"
-    gens = _greedy_generators(g)
+def _generator_image_search(tg, th):
+    """An isomorphism tg -> th as a dict of indices, or None."""
+    assert _abelian(tg) and _abelian(th), "generator-image search is abelian-only"
+    cg = [cycle(tg, x) for x in range(len(tg))]
+    ch = [cycle(th, y) for y in range(len(th))]
+    gens = _greedy_generators(tg, cg)
 
     def search(D, k):
-        if len(D) == g.order:
+        if len(D) == len(tg):
             return D
         if k == len(gens):
             return None
-        x = gens[k]
-        for y in h.roster:
-            ext = _extend_partial(D, x, y, g, h)
+        for y in range(len(th)):
+            ext = _extend_partial(D, cg[gens[k]], ch[y], tg, th)
             if ext is not None:
                 found = search(ext, k + 1)
                 if found is not None:
                     return found
         return None
 
-    D = search({g.identity: h.identity}, 0)
-    if D is None:
-        return None
-    return GroupMap(tuple((x, D[x]) for x in g.roster))
+    return search({0: 0}, 0)
