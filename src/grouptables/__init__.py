@@ -31,7 +31,6 @@ from .products import (
     product_orders,
 )
 from .pgroup import (
-    PFactorization,
     cyclic_p_subgroup_list,
     cyclicp,
     max_ord,

@@ -42,7 +42,7 @@ def cyclic_subgroup_list(g):
     while n > 1:
         p = least_prime_divisor(n)
         m = max_power_dividing(p, n)
-        factors += cyclic_p_subgroup_list(p, subgroup_ord_dividing(m, g)).factors
+        factors += cyclic_p_subgroup_list(p, subgroup_ord_dividing(m, g))
         n //= m
     return factors
 

@@ -11,7 +11,6 @@ separator between its two builder lists, which argparse consumes.
 """
 from __future__ import annotations
 
-import os
 import sys
 from collections import Counter
 
@@ -49,19 +48,19 @@ builders: zn <n> | s <n> | dp <builder>...
 """
 
 
+NUMERAL_BUILDERS = {"zn": (cyclic_group, "order"), "s": (symmetric_group, "degree")}
+
+
 def _parse_one_builder(tokens, k, depth):
     """The group built by tokens[k:], inside depth enclosing dp builders."""
     if k >= len(tokens):
         raise UsageError("missing builder")
     t = tokens[k]
-    if t == "zn":
+    if t in NUMERAL_BUILDERS:
+        build, what = NUMERAL_BUILDERS[t]
         if k + 1 >= len(tokens) or not tokens[k + 1].isdecimal():
-            raise UsageError("zn needs a numeric order")
-        return cyclic_group(parse_numerals([tokens[k + 1]])[0]), k + 2
-    if t == "s":
-        if k + 1 >= len(tokens) or not tokens[k + 1].isdecimal():
-            raise UsageError("s needs a numeric degree")
-        return symmetric_group(parse_numerals([tokens[k + 1]])[0]), k + 2
+            raise UsageError(f"{t} needs a numeric {what}")
+        return build(parse_numerals([tokens[k + 1]])[0]), k + 2
     if t == "dp":
         if depth >= MAX_DEPTH:
             raise ResourceError(f"dp nesting exceeds the {MAX_DEPTH} guard")
@@ -113,7 +112,8 @@ def _read(path):
 
 
 def _group_from_args(args):
-    if len(args) == 1 and os.path.exists(args[0]):
+    """A lone argument is a group file unless it names a builder: ./zn reads a file zn."""
+    if len(args) == 1 and args[0] not in (*NUMERAL_BUILDERS, "dp"):
         return load_group(_read(args[0]))
     return build_group(args)
 

@@ -113,9 +113,9 @@ _PLAIN_HEAD = re.compile(r"[ \t\r\n]*group[ \t]+([0-9]{1,18})[ \t]*[\r\n][ \t\r\
 # characters per numeral in a plain file: room for long numerals and blanks,
 # while the pass's byte arrays stay within a small multiple of n^2
 _PLAIN_CHARS = 32
-# an all-numeral roster line, up to its line break
-_NUMERAL_ROSTER = re.compile(r"[0-9 \t]*+(?=[\r\n\v\f\x1c-\x1e]|\Z)")
 _LINE_END = re.compile(r"[\r\n\v\f\x1c-\x1e]|\Z")
+# an all-numeral roster line, once _LINE_END has found its end
+_NUMERALS = re.compile(r"[0-9 \t]*")
 
 
 def _numeral_values(digits, ends, count, n):
@@ -168,15 +168,14 @@ def _plain_group(text):
     if not 0 < n <= MAX_ORDER or len(text) > _PLAIN_CHARS * (n + 1) ** 2:
         return None
     start = head.end()
-    roster = _NUMERAL_ROSTER.match(text, start)
+    roster_end = _LINE_END.search(text, start).start()
+    roster = _NUMERALS.fullmatch(text, start, roster_end)
     if roster:
-        roster_end = roster.end()
         numerals = roster[0].split()
         if len(numerals) != n or max(map(len, numerals)) > _MAX_DIGITS:
             return None
         labels = list(map(int, numerals))
     else:
-        roster_end = _LINE_END.search(text, start).start()
         try:
             labels = list(islice(_top_level_elements(text, start, roster_end), n + 1))
         except (DomainError, ResourceError):

@@ -18,12 +18,11 @@ import numpy as np
 
 from .core import FiniteGroup, abelianp, cyclic, elt_of_ord, subgroup
 from .errors import DomainError
-from .numtheory import least_prime_divisor, powerp, primep
+from .numtheory import least_prime_divisor, powerp
 
 
 def p_groupp(g, p):
-    if not primep(p):
-        raise DomainError(f"p must be prime, got {p}")
+    """True iff |g| is a power of p; powerp rejects a p that is not prime."""
     return powerp(g.order, p)
 
 
@@ -122,17 +121,8 @@ def complement_subgroup(a, p, g):
     return subgroup(g, [g.roster[k] for k in g2[order].tolist()])
 
 
-@dataclass(frozen=True)
-class PFactorization:
-    factors: tuple
-
-    @property
-    def orders(self):
-        return tuple(h.order for h in self.factors)
-
-
 def cyclic_p_subgroup_list(p, g):
-    """Full decomposition of an abelian p-group into cyclic subgroups.
+    """The tuple of cyclic subgroups whose direct product is the abelian p-group g.
 
     Chooses a maximal-order generator first, so factor orders come out
     non-increasing; the trivial group yields no factors.  Complements of an
@@ -150,4 +140,4 @@ def cyclic_p_subgroup_list(p, g):
         a = elt_of_ord(max_ord(g), g)
         factors += (cyclic(a, g),)
         g = complement_subgroup(a, p, g)
-    return PFactorization(factors + ((cyclic(elt_of_ord(g.order, g), g),) if g.order > 1 else ()))
+    return factors + ((cyclic(elt_of_ord(g.order, g), g),) if g.order > 1 else ())

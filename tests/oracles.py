@@ -518,9 +518,9 @@ def chained_cyclic_subgroup_list(g):
         while g.order % (m * p) == 0:
             m *= p
         if m == g.order:
-            return factors + cyclic_p_subgroup_list(p, g).factors
+            return factors + cyclic_p_subgroup_list(p, g)
         h, g = subgroup_ord_dividing(m, g), subgroup_ord_dividing(g.order // m, g)
-        factors += cyclic_p_subgroup_list(p, h).factors
+        factors += cyclic_p_subgroup_list(p, h)
     return factors
 
 
@@ -582,18 +582,18 @@ def _greedy_generators(t, cycles):
 
 def _extend_partial(D, cx, cy, tg, th):
     """Extend a partial isomorphism (defined on a subgroup) by x -> y, given
-    the cycles cx of x and cy of y."""
+    the cycles cx of x and cy of y; None at the first image that is not
+    well defined or is already taken by another element."""
     if len(cy) != len(cx):
         return None
-    new = dict(D)
+    new, used = dict(D), set(D.values())
     for xe, ye in zip(cx[1:], cy[1:]):
         for s, u in D.items():
             z, w = tg[s][xe], th[u][ye]
-            if new.get(z, w) != w:
+            if new.get(z, w) != w or z not in new and w in used:
                 return None
             new[z] = w
-    if len(set(new.values())) != len(new):
-        return None
+            used.add(w)
     return new
 
 

@@ -225,6 +225,25 @@ def test_unique_numeric_map_file_name(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().out.splitlines()[-1] == "permutation: true"
 
 
+def test_lone_argument_is_a_file_unless_a_builder_name(capsys, tmp_path, monkeypatch):
+    # files named like builders change nothing: a lone builder name stays an
+    # incomplete builder, and any other lone argument is read as a file
+    monkeypatch.chdir(tmp_path)
+    assert main(["cayley", "zn", "4"]) == 0
+    text = capsys.readouterr().out
+    for name in ("zn", "s", "dp"):
+        (tmp_path / name).write_text(text)
+    for args in (["info", "zn"], ["factor", "s"], ["info", "dp"]):
+        assert main(args) == 2, args
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.endswith(USAGE), args
+    assert main(["info", "./zn"]) == 0
+    assert capsys.readouterr().out.startswith("order: 4\n")
+    assert main(["factor", "missing.grp"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: [Errno 2] No such file or directory: 'missing.grp'\n")
+
+
 def test_oversized_group_file(capsys, tmp_path):
     f = tmp_path / "big.grp"
     f.write_text("group 257\n")
