@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from grouptables.abelian import abelian_factorization
 from grouptables.core import cyclic_group
 from grouptables.products import direct_product
+from grouptables.uniqueness import orders
 
 
 def factor_multisets(n):
@@ -47,7 +48,7 @@ def main():
     for ms in factor_multisets(n):
         g = direct_product([cyclic_group(k) for k in ms])
         fact = abelian_factorization(g)
-        canon = tuple(sorted(fact.orders, reverse=True))
+        canon = tuple(sorted(orders(fact.factors), reverse=True))
         counts[canon] += 1
         print(f"built {ms!r:24} -> factors {canon}")
 

@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from grouptables.abelian import abelian_factorization
 from grouptables.core import cyclic_group
 from grouptables.numtheory import max_power_dividing, primep
+from grouptables.uniqueness import orders
 
 
 def prime_power_parts(n):
@@ -37,13 +38,13 @@ def main():
     verified = 0
     for n in range(2, args.max_order + 1):
         fact = abelian_factorization(cyclic_group(n))
-        orders = sorted(fact.orders, reverse=True)
+        got = sorted(orders(fact.factors), reverse=True)
         expected = prime_power_parts(n)
-        status = "ok" if orders == expected else "MISMATCH"
+        status = "ok" if got == expected else "MISMATCH"
         if status != "ok":
-            raise SystemExit(f"Z{n}: got {orders}, expected {expected}")
+            raise SystemExit(f"Z{n}: got {got}, expected {expected}")
         verified += 1
-        print(f"Z{n:<3} = {' x '.join(f'Z{k}' for k in orders):24} {status}")
+        print(f"Z{n:<3} = {' x '.join(f'Z{k}' for k in got):24} {status}")
     elapsed = time.monotonic() - start
     print(f"\n{verified} factorizations built and verified in {elapsed:.2f}s")
 

@@ -52,10 +52,6 @@ class AbelianFactorization:
     factors: tuple
     iso: GroupMap  # verified isomorphism direct_product(factors) -> the group
 
-    @property
-    def orders(self):
-        return tuple(h.order for h in self.factors)
-
 
 def abelian_factorization(g):
     """Factor an abelian group of order > 1 and verify the isomorphism."""

@@ -113,7 +113,10 @@ _PLAIN_HEAD = re.compile(r"[ \t\r\n]*group[ \t]+([0-9]{1,18})[ \t]*[\r\n][ \t\r\
 # characters per numeral in a plain file: room for long numerals and blanks,
 # while the pass's byte arrays stay within a small multiple of n^2
 _PLAIN_CHARS = 32
-_LINE_END = re.compile(r"[\r\n\v\f\x1c-\x1e]|\Z")
+# the line breaks of str.splitlines other than "\n"; the ASCII text that
+# _plain_group searches can hold only the first six
+_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_END = re.compile(f"[\n{_BREAKS}]|\\Z")
 # an all-numeral roster line, once _LINE_END has found its end
 _NUMERALS = re.compile(r"[0-9 \t]*")
 
@@ -206,10 +209,6 @@ def _plain_group(text):
     return None if values is None else (tuple(labels), values.reshape(n, n))
 
 
-# the line breaks of str.splitlines other than "\n"
-_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
 def _labels(text, start, end, keep):
     """(the first `keep` top-level elements of text[start:end], the number
     of them all): the rest are read by the same loop only to be counted, so
@@ -236,12 +235,6 @@ def _non_blank_matches(text, keep):
     lines = _NON_BLANK.finditer(text)
     found = list(islice(lines, keep))
     return found, len(found) + sum(1 for _ in lines)
-
-
-def _non_blank_lines(text, keep):
-    """(the first `keep` non-blank lines of text, the number of them all)."""
-    found, count = _non_blank_matches(text, keep)
-    return [m[0] for m in found], count
 
 
 def parse_group(text):
@@ -292,12 +285,13 @@ def print_map(m):
 def parse_map(text):
     """The GroupMap of a map file.  A map's domain is a roster, so more than
     MAX_ORDER non-blank lines are rejected before any label is parsed."""
-    lines, count = _non_blank_lines(text, MAX_ORDER + 1)
+    lines, count = _non_blank_matches(text, MAX_ORDER + 1)
     if count > MAX_ORDER:
         raise ResourceError(
             f"map file has {count} non-blank lines, more than the {MAX_ORDER} guard")
     pairs = []
-    for ln in lines:
+    for m in lines:
+        ln = m[0]
         if "->" not in ln:
             raise DomainError(f"bad map line: {ln!r}")
         try:  # a label may hold "->", so a bare "->" between two elements comes first

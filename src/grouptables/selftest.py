@@ -20,7 +20,7 @@ from .errors import DomainError
 from .gmaps import GroupMap, map_from_function
 from .numtheory import least_prime_divisor, powerp
 from .products import direct_product, group_tuples
-from .uniqueness import verify_unique_factorization
+from .uniqueness import orders, verify_unique_factorization
 
 
 def _abelian_types(max_order):
@@ -54,7 +54,7 @@ def run_selftest(out):
         ("axioms", lambda: all(check_group(g.roster, g.table) is None
                                for g in groups + [h for f in facts for h in f.factors])),
         ("abelian factorization", lambda: all(
-            tuple(sorted(f.orders)) == t for f, t in zip(facts, types))),
+            tuple(sorted(orders(f.factors))) == t for f, t in zip(facts, types))),
         ("generators", lambda: all(h.element_order(h.roster[1]) == h.order
                                    for f in facts for h in f.factors)),
         ("uniqueness", lambda: all(

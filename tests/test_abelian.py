@@ -18,6 +18,7 @@ from grouptables.products import (
     product_list_map,
     product_orders,
 )
+from grouptables.uniqueness import orders
 
 from lemmas import (
     bezout_decomposition,
@@ -126,18 +127,18 @@ class TestChainedOracle:
 class TestAbelianFactorization:
     def test_z6(self, z6):
         fact = abelian_factorization(z6)
-        assert fact.orders == (2, 3)
+        assert orders(fact.factors) == (2, 3)
         dpf = direct_product(list(fact.factors))
         assert homomorphism_check(fact.iso, dpf, z6) is None
         assert classify(fact.iso, dpf, z6).isomorphism
 
     def test_z2z4(self, z2xz4):
         fact = abelian_factorization(z2xz4)
-        assert sorted(fact.orders) == [2, 4]
+        assert sorted(orders(fact.factors)) == [2, 4]
 
     def test_z8_single_factor(self):
         fact = abelian_factorization(cyclic_group(8))
-        assert fact.orders == (8,)
+        assert orders(fact.factors) == (8,)
 
     def test_non_abelian_rejected(self, s3):
         with pytest.raises(DomainError):

@@ -27,6 +27,7 @@ from grouptables.products import direct_product, product_orders
 from grouptables.uniqueness import (
     group_power,
     group_power_list,
+    orders,
     permutationp,
     verify_unique_factorization,
 )
@@ -227,7 +228,7 @@ def test_criterion_6_classification_count():
         if not all(all_prime_power(k, 2) for k in ms):
             continue
         fact = abelian_factorization(dp(*ms))
-        seen.add(tuple(sorted(fact.orders, reverse=True)))
+        seen.add(tuple(sorted(orders(fact.factors), reverse=True)))
     # independent oracle: partitions of 4 as 2-power multisets
     expected = {
         (16,),

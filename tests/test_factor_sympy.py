@@ -4,6 +4,11 @@ sympy computes for the regular representation of the construction, a
 direct product of cyclic groups over the prime powers or the invariant
 factors of the type.
 
+The printed generators are checked in sympy too: each printed
+coordinate tuple c becomes the permutation u_1^c_1 ... u_k^c_k of the unit
+vectors, which must have the printed order, and together they must generate
+a group of order |G|.
+
 The sympy side shares no code with the kernel: its permutations are the
 unit vectors of Z_q1 x ... x Z_qk acting on the mixed-radix indices of the
 elements, written down from the moduli alone.
@@ -12,6 +17,11 @@ import contextlib
 import io
 import math
 import random
+import re
+import tempfile
+from functools import cache, reduce
+from operator import mul
+from pathlib import Path
 
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
@@ -25,6 +35,7 @@ from conftest import relabelled
 from oracles import abelian_types, invariant_factors
 
 SAMPLE = random.Random(20).sample(abelian_types(256), 30)
+FACTOR_LINE = re.compile(r"order=(\d+) p=\d+ generator=(.+)")
 
 
 def unit_vector_permutations(moduli):
@@ -40,25 +51,43 @@ def unit_vector_permutations(moduli):
     return perms
 
 
-def printed_orders(path):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["factor", str(path)]) == 0
-    lines = out.getvalue().splitlines()
-    assert lines[-1] == "iso verified: true"
-    return sorted(int(line.split()[0].removeprefix("order=")) for line in lines[:-1])
-
-
-@pytest.mark.parametrize("kind", SAMPLE, ids=lambda kind: "x".join(map(str, kind)))
-def test_factor_orders_match_sympy_invariants(kind, tmp_path):
+@cache
+def factored(kind):
+    """(moduli, [(order, generator coordinates)]) of `factor` run on a file
+    of the construction, relabelled; cached, as both tests read it."""
     rng = random.Random(str(kind))
     # dp zn q1 zn q2 ... over the prime powers or the invariant factors, shuffled
     moduli = list(rng.choice([kind, invariant_factors(kind)]))
     rng.shuffle(moduli)
     g = relabelled(direct_product([cyclic_group(q) for q in moduli]), rng)
-    path = tmp_path / "g.grp"
-    path.write_text(print_group(g))
-    orders = printed_orders(path)
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "g.grp")
+        path.write_text(print_group(g))
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["factor", str(path)]) == 0
+    *lines, last = out.getvalue().splitlines()
+    assert last == "iso verified: true"
+    return moduli, [(int(m[1]), tuple(map(int, m[2].strip("()").split())))
+                    for m in map(FACTOR_LINE.fullmatch, lines)]
+
+
+IDS = ["x".join(map(str, kind)) for kind in SAMPLE]
+
+
+@pytest.mark.parametrize("kind", SAMPLE, ids=IDS)
+def test_factor_orders_match_sympy_invariants(kind):
+    moduli, printed = factored(kind)
+    orders = sorted(order for order, _ in printed)
     assert orders == sorted(kind)
     invariants = PermutationGroup(unit_vector_permutations(moduli)).abelian_invariants()
     assert orders == sorted(invariants)
+
+
+@pytest.mark.parametrize("kind", SAMPLE, ids=IDS)
+def test_printed_generators_match_sympy(kind):
+    moduli, printed = factored(kind)
+    units = unit_vector_permutations(moduli)
+    generators = [reduce(mul, (u**c for u, c in zip(units, coords))) for _, coords in printed]
+    assert [gen.order() for gen in generators] == [order for order, _ in printed]
+    assert PermutationGroup(generators).order() == math.prod(moduli)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from grouptables.core import MAX_FILE_CHARS, MAX_ORDER
 from grouptables.errors import DomainError, ResourceError
-from grouptables.fileformat import _BREAKS, _non_blank_lines, parse_group, parse_map
+from grouptables.fileformat import _BREAKS, _non_blank_matches, parse_group, parse_map
 
 
 def test_breaks_are_the_splitlines_boundaries():
@@ -26,7 +26,8 @@ LINE_CHARS = "ab \t\u3000\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 @given(st.text(st.sampled_from(LINE_CHARS)), st.integers(0, 4))
 def test_lines_match_splitlines(text, keep):
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    assert _non_blank_lines(text, keep) == (lines[:keep], len(lines))
+    found, count = _non_blank_matches(text, keep)
+    assert ([m[0] for m in found], count) == (lines[:keep], len(lines))
 
 
 def test_over_long_file_rejected_in_bounded_memory():
@@ -47,7 +48,7 @@ def test_over_long_file_rejected_in_bounded_memory():
 def test_one_long_blank_line_counted_in_linear_time():
     # a line regex that backtracked across the whole line would take hours
     start = time.perf_counter()
-    assert _non_blank_lines(" \t" * (MAX_FILE_CHARS // 2), 1) == ([], 0)
+    assert _non_blank_matches(" \t" * (MAX_FILE_CHARS // 2), 1) == ([], 0)
     assert time.perf_counter() - start < 2
 
 
