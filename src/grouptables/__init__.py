@@ -8,7 +8,6 @@ from .core import (
     check_group,
     cyclic,
     cyclic_group,
-    elt_of_ord,
     subgroup,
     symmetric_group,
     validate_group,

@@ -60,9 +60,9 @@ def abelian_factorization(g):
     if g.order <= 1:
         raise DomainError("abelian-factorization needs order > 1")
     factors = cyclic_subgroup_list(g)
-    iso = product_list_map(list(factors), g)
-    dp = direct_product(list(factors))
+    iso = product_list_map(factors, g)
+    dp = direct_product(factors)
     witness = homomorphism_check(iso, dp, g)
     if witness is not None or not classify(iso, dp, g).isomorphism:
         raise RuntimeError(f"internal error: factorization map not an isomorphism ({witness})")
-    return AbelianFactorization(tuple(factors), iso)
+    return AbelianFactorization(factors, iso)

@@ -5,9 +5,10 @@ the identity, plus a read-only n x n integer array of roster indices: the
 Cayley table.  Elements are values (atoms or nested tuples), never indices, at
 every API boundary; indices live only inside tables.  Derived tables
 (subgroups, direct products), element orders and powers are all computed on
-indices, and the p-group split works on a group's indices modulo a subgroup
-rather than on quotient groups.  Tuples encode direct-product elements, so
-products nest one structural level per application.
+indices, and the p-group factorization holds each complement as an array
+of the input group's indices rather than as a subgroup or quotient group.
+Tuples encode direct-product elements, so products nest one structural
+level per application.
 """
 from __future__ import annotations
 
@@ -314,14 +315,6 @@ def powers(g, a):
 def cyclic(a, g):
     """The cyclic subgroup generated by a, in its natural power order."""
     return subgroup(g, powers(g, a))
-
-
-def elt_of_ord(n, g):
-    """First roster element of order exactly n, or None."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    found = np.flatnonzero(g._orders == n)
-    return g.roster[found[0]] if len(found) else None
 
 
 def abelianp(g):

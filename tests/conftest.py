@@ -128,10 +128,9 @@ def list_check_calls(monkeypatch):
 
 @pytest.fixture
 def split_calls(monkeypatch):
-    """A Counter of calls to complement_subgroup and split_witness, the
-    split with its precondition check."""
-    return count_calls(monkeypatch, [("pgroup", "complement_subgroup"),
-                                     ("pgroup", "split_witness")])
+    """A Counter of calls to abelianp, the costliest of the split's
+    preconditions, and to subgroup, which builds every subgroup."""
+    return count_calls(monkeypatch, [("core", "abelianp"), ("core", "subgroup")])
 
 
 @pytest.fixture

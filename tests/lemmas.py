@@ -5,22 +5,26 @@ Bezout coefficients, the split of an abelian group of relatively-prime
 order m*n into its subgroups of orders m and n, the Bezout split of an
 element, the element orderings of a roster, the structural subgroup test,
 left cosets, quotient groups of cosets and the lift of their subgroups back
-to the parent, normality, intersections and the trivial subgroup, the
-splitting contract of a p-group, products of subgroups and the counting argument behind their
-size, internal direct products and their appending, the power of a direct
-product, and the order reduction of the uniqueness contraction.  No CLI
-verb, selftest or script calls them, so they live here, beside the tests
-that check them.
+to the parent, normality, intersections and the trivial subgroup, the first
+element of a given order, the checked split of a p-group with its witness
+and the complement it splits off as a subgroup, the splitting contract of a
+p-group, products of subgroups and the counting argument behind their size,
+internal direct products and their appending, the power of a direct product,
+and the order reduction of the uniqueness contraction.  No CLI verb,
+selftest or script calls them, so they live here, beside the tests that
+check them.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from grouptables.abelian import subgroup_ord_dividing
-from grouptables.core import FiniteGroup, subgroup
+from grouptables.core import FiniteGroup, abelianp, cyclic, subgroup
 from grouptables.errors import DomainError
 from grouptables.numtheory import check_nat, primep
-from grouptables.pgroup import cyclicp
+from grouptables.pgroup import _complement, _split, cyclicp, max_ord, p_groupp
 from grouptables.products import direct_product
 from grouptables.uniqueness import delete_trivial, group_power, group_power_list
 
@@ -120,7 +124,15 @@ def group_intersection(h, k, g):
 
 
 # ---------------------------------------------------------------------------
-# core: element orderings
+# core: element orders and orderings
+
+
+def elt_of_ord(n, g):
+    """First roster element of order exactly n, or None."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    found = np.flatnonzero(g._orders == n)
+    return g.roster[found[0]] if len(found) else None
 
 
 def ordp(l, g):
@@ -197,7 +209,50 @@ def bezout_decomposition(g, x, m, n):
 
 
 # ---------------------------------------------------------------------------
-# pgroup: the splitting contract
+# pgroup: the checked split, the complement as a subgroup, the splitting contract
+
+
+@dataclass(frozen=True)
+class SplitData:
+    """Witness data for one splitting step.
+
+    a generates the maximal cyclic subgroup; y = a^(-j) * x has order p and
+    lies outside <a>, and c = <y> meets <a> trivially.
+    """
+
+    a: object
+    x: object
+    i: int
+    j: int
+    y: object
+    c: FiniteGroup
+
+
+def split_witness(a, p, g):
+    if not p_groupp(g, p):
+        failure = "not a p-group for p"
+    elif not abelianp(g):
+        failure = "not abelian"
+    elif cyclicp(g):
+        failure = "group is cyclic"
+    elif a not in g:
+        failure = "a is not an element"
+    elif g.element_order(a) != max_ord(g):
+        failure = "a does not have maximal order"
+    else:
+        x, i, y = _split(g.index(a), p, g, np.zeros(1, np.intp), np.arange(g.order))
+        y = g.roster[y]
+        return SplitData(a=a, x=g.roster[x], i=i, j=i // p, y=y, c=cyclic(y, g))
+    raise DomainError(f"split preconditions unmet: {failure}")
+
+
+def complement_subgroup(a, p, g):
+    """A subgroup g2 with <a> * g2 = g and <a> meeting g2 trivially: the
+    split's preconditions checked by split_witness, then pgroup._complement
+    on all of g, whose order g2's roster keeps."""
+    split_witness(a, p, g)
+    g2 = _complement(g.index(a), p, g, np.arange(g.order))
+    return subgroup(g, [g.roster[k] for k in g2.tolist()])
 
 
 def desired_properties_check(g, g1, g2):

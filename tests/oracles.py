@@ -13,21 +13,23 @@ from sorted table columns, the uniqueness contraction map is composed from
 three maps rather than built in one pass, the p-group split is read off
 the quotient groups g/<a> rather than computed on g's indices modulo a
 subgroup, the p-group complement recurses through those quotients with
-every level checked, and the abelian factorization carries
+every level checked, the p-group factorization builds each complement as
+a subgroup and continues on it, and the abelian factorization carries
 each prime block's relatively-prime complement to the next step rather
 than reading every block off the input group.
 
 The oracles read a library group in one way, `plain(g)`: its roster, each
 element's roster index and its table as lists of ints.  Orders, powers,
 closures and subgroups (`restricted`) are computed on those lists, and a
-map is read from its `pairs` alone.  Only the three verbatim references
-`quotient_split`, `recursive_complement_subgroup` and
-`chained_cyclic_subgroup_list`, whose purpose is to be the library's former
-code, build on the library: on its `abelianp`, `cyclic`, `cyclicp`,
-`cyclic_p_subgroup_list`, `elt_of_ord`, `powers`, `split_witness`,
-`subgroup_ord_dividing` and `SplitData`, on `FiniteGroup`'s `op`, `power`
-and `inv`, and on `lcoset`, `lift` and `quotient`, which tests/lemmas.py
-holds.  tests/test_certcheck.py fails if any other oracle reaches further.
+map is read from its `pairs` alone.  Only the four verbatim references
+`quotient_split`, `recursive_complement_subgroup`,
+`nested_cyclic_p_subgroup_list` and `chained_cyclic_subgroup_list`, whose
+purpose is to be the library's former code, build on the library: on its
+`abelianp`, `cyclic`, `cyclicp`, `cyclic_p_subgroup_list`, `max_ord`,
+`p_groupp`, `powers` and `subgroup_ord_dividing`, on `FiniteGroup`'s `op`,
+`power` and `inv`, and on `elt_of_ord`, `lcoset`, `lift`, `quotient`,
+`split_witness` and `SplitData`, which tests/lemmas.py holds.
+tests/test_certcheck.py fails if any other oracle reaches further.
 """
 from __future__ import annotations
 
@@ -37,12 +39,12 @@ from itertools import permutations, product
 import numpy as np
 
 from grouptables.abelian import subgroup_ord_dividing
-from grouptables.core import MAX_DEPTH, MAX_ORDER, FiniteGroup, abelianp, cyclic, elt_of_ord, powers
+from grouptables.core import MAX_DEPTH, MAX_ORDER, FiniteGroup, abelianp, cyclic, powers
 from grouptables.errors import DomainError, ResourceError
 from grouptables.gmaps import GroupMap
-from grouptables.pgroup import SplitData, cyclic_p_subgroup_list, cyclicp, split_witness
+from grouptables.pgroup import cyclic_p_subgroup_list, cyclicp, max_ord, p_groupp
 
-from lemmas import lcoset, lift, quotient
+from lemmas import SplitData, elt_of_ord, lcoset, lift, quotient, split_witness
 
 
 def naive_gcd(m, n):
@@ -502,6 +504,23 @@ def recursive_complement_subgroup(a, p, g):
         return sd.c
     rec = recursive_complement_subgroup(lcoset(a, sd.c, g), p, gstar)
     return lift(rec, sd.c, g)
+
+
+def nested_cyclic_p_subgroup_list(p, g):
+    """The library's former pgroup.cyclic_p_subgroup_list, with each
+    complement built by recursive_complement_subgroup: split off the cyclic
+    subgroup of the first element of maximal order and continue on its
+    complement, a subgroup in its own roster order, until that is cyclic."""
+    if not p_groupp(g, p):
+        raise DomainError("not a p-group for p")
+    if not abelianp(g):
+        raise DomainError("not abelian")
+    factors = ()
+    while not cyclicp(g):
+        a = elt_of_ord(max_ord(g), g)
+        factors += (cyclic(a, g),)
+        g = recursive_complement_subgroup(a, p, g)
+    return factors + ((cyclic(elt_of_ord(g.order, g), g),) if g.order > 1 else ())
 
 
 def chained_cyclic_subgroup_list(g):

@@ -17,7 +17,6 @@ from grouptables.core import (
     check_group,
     cyclic,
     cyclic_group,
-    elt_of_ord,
     symmetric_group,
 )
 from grouptables.gmaps import classify, homomorphism_check, image, kernel, map_from_function
@@ -33,6 +32,7 @@ from grouptables.uniqueness import (
 )
 
 from lemmas import (
+    elt_of_ord,
     group_intersection,
     internal_direct_product_p,
     lift,

@@ -11,7 +11,6 @@ from grouptables.core import (
     check_group,
     cyclic,
     cyclic_group,
-    elt_of_ord,
     powers,
     subgroup,
     symmetric_group,
@@ -23,6 +22,7 @@ from grouptables.products import direct_product
 from conftest import relabelled
 from lemmas import (
     _coset_rows,
+    elt_of_ord,
     group_intersection,
     lcoset,
     lcosets,

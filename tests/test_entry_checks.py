@@ -7,7 +7,6 @@ from grouptables.core import (
     FiniteGroup,
     cyclic,
     cyclic_group,
-    elt_of_ord,
     subgroup,
     symmetric_group,
 )
@@ -15,11 +14,20 @@ from grouptables.errors import DomainError
 from grouptables.fileformat import format_element, parse_element, parse_group
 from grouptables.gmaps import GroupMap
 from grouptables.numtheory import check_nat
-from grouptables.pgroup import cyclic_p_subgroup_list, p_groupp, split_witness
+from grouptables.pgroup import cyclic_p_subgroup_list, p_groupp
 from grouptables.products import direct_product
 from grouptables.uniqueness import first_prime, group_power, verify_unique_factorization
 
-from lemmas import internal_direct_product_p, lcosets, lift, normalp, products, rel_prime_split
+from lemmas import (
+    elt_of_ord,
+    internal_direct_product_p,
+    lcosets,
+    lift,
+    normalp,
+    products,
+    rel_prime_split,
+    split_witness,
+)
 from oracles import generated_subgroup
 
 Z2, Z4, Z6, Z12 = (cyclic_group(n) for n in (2, 4, 6, 12))

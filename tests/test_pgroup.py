@@ -3,25 +3,35 @@ from functools import cache
 
 import pytest
 
-from grouptables.core import cyclic, cyclic_group, elt_of_ord
+from grouptables.core import cyclic, cyclic_group
 from grouptables.errors import DomainError
 from grouptables.numtheory import least_prime_divisor
 from grouptables.pgroup import (
-    complement_subgroup,
     cyclic_p_group_list_p,
     cyclic_p_group_p,
     cyclic_p_subgroup_list,
     cyclicp,
     max_ord,
     p_groupp,
-    split_witness,
 )
 from grouptables.products import direct_product, product_orders
 from grouptables.uniqueness import orders
 
-from conftest import dp_cyclic_corpus
-from lemmas import desired_properties_check, group_intersection, internal_direct_product_p
-from oracles import is_prime_power, quotient_split, recursive_complement_subgroup
+from conftest import dp_cyclic_corpus, relabelled
+from lemmas import (
+    complement_subgroup,
+    desired_properties_check,
+    elt_of_ord,
+    group_intersection,
+    internal_direct_product_p,
+    split_witness,
+)
+from oracles import (
+    is_prime_power,
+    nested_cyclic_p_subgroup_list,
+    quotient_split,
+    recursive_complement_subgroup,
+)
 
 
 def dp(*ns):
@@ -147,12 +157,25 @@ class TestComplementOracle:
                 checked += 1
         assert checked == 707
 
+    def test_factors_equal_nested_reference(self):
+        """Exact equality, rosters and tables, with the former loop, which
+        built each complement as a subgroup through quotients and split it
+        in its own roster order, over every non-cyclic abelian p-group of
+        order <= 256, as built and as two relabelled copies."""
+        rng, checked = random.Random(25), 0
+        for p, g, _ in maximal_order_splits(2, 64) + maximal_order_splits(65, 256):
+            for h in (g, relabelled(g, rng), relabelled(g, rng)):
+                assert cyclic_p_subgroup_list(p, h) == nested_cyclic_p_subgroup_list(p, h)
+                checked += 1
+        assert checked == 231
+
     @pytest.mark.parametrize("p, ns", [(2, (2, 2, 2, 2)), (2, (2, 4, 8)), (3, (3, 3, 9))])
     def test_split_checked_once_per_complement(self, p, ns, split_calls):
+        """g is checked once, and no complement is built as a subgroup: the
+        one subgroup built per factor is the factor."""
         fact = cyclic_p_subgroup_list(p, dp(*ns))
         assert sorted(orders(fact)) == sorted(ns)
-        calls = len(ns) - 1  # one complement per factor but the last
-        assert split_calls == {"complement_subgroup": calls, "split_witness": calls}
+        assert split_calls == {"abelianp": 1, "subgroup": len(ns)}
 
 
 class TestDesiredPropertiesCheck:
