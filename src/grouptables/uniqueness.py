@@ -1,15 +1,15 @@
 """Uniqueness of cyclic p-group factorizations up to permutation of orders.
 
-The contraction step takes p-th powers of every factor (which divides the
-p-divisible orders by p and collapses order-p factors), deletes the collapsed
-factors, and transports the isomorphism through the contraction.  Induction
-on the contracted lists forces the order multisets to agree.
+The contraction step takes p-th powers, which divides the p-divisible
+orders by p and collapses order-p factors.  An isomorphism dp(l) -> dp(m)
+restricts to one between the p-th power subgroups, since phi(x^p) =
+phi(x)^p, and those are the products of the contracted lists.  Induction
+on the contracted order lists forces the order multisets to agree.
 
 The lists are checked once, at entry: a p-th power of a cyclic p-group is
 again one or is trivial and dropped, so no later level can fail that check.
-The map is checked at every level, as it is the certificate.  Each level
-builds the p-th power list of each side once, for both the contracted lists
-and the transported map.
+The products are built once, at entry; the given map is checked on their
+p-th power subgroups at every level, as it is the certificate.
 """
 from __future__ import annotations
 
@@ -19,10 +19,10 @@ import numpy as np
 
 from .core import abelianp, subgroup
 from .errors import DomainError
-from .gmaps import GroupMap, classify, homomorphism_check
+from .gmaps import classify, homomorphism_check
 from .numtheory import least_prime_divisor
 from .pgroup import cyclic_p_group_list_p
-from .products import direct_product, group_tuples
+from .products import direct_product
 
 
 # ---------------------------------------------------------------------------
@@ -63,42 +63,14 @@ def group_power(n, g):
     return subgroup(g, tuple(g.roster[i] for i in np.flatnonzero(hit)))
 
 
-def group_power_list(n, l):
-    return tuple(group_power(n, g) for g in l)
-
-
 # ---------------------------------------------------------------------------
 # the contraction
 
 
-def first_prime(l):
-    if not l or l[0].order <= 1:
-        raise DomainError("first-prime needs a leading non-trivial group")
-    return least_prime_divisor(l[0].order)
-
-
-def delete_trivial(l):
-    return tuple(g for g in l if g.order > 1)
-
-
-def delete_trivial_elt(x, l):
-    return tuple(c for c, g in zip(x, l) if g.order > 1)
-
-
-def reduce_cyclic_iso(iso, pl, pm):
-    """Transport an isomorphism dp(l) -> dp(m) to the contracted products,
-    given the p-th power lists pl and pm of l and m.
-
-    The restriction of iso to the p-th power subgroup (legitimate because
-    isomorphic abelian groups have isomorphic n-th powers), with the
-    trivial components dropped on both sides.  GroupMap's distinct-key
-    check rejects a contraction that is not injective; the map itself is
-    checked in full by the next level of verify_unique_factorization.
-    """
-    return GroupMap(tuple(
-        (delete_trivial_elt(x, pl), delete_trivial_elt(iso.apply(x), pm))
-        for x in group_tuples(pl)
-    ))
+def _contract(orders_, p):
+    """The orders of the p-th power subgroups of cyclic groups of the given
+    orders > 1, less the trivial ones: those of order p."""
+    return tuple(q // p if q % p == 0 else q for q in orders_ if q != p)
 
 
 def verify_unique_factorization(l, m, iso):
@@ -106,26 +78,26 @@ def verify_unique_factorization(l, m, iso):
 
     l and m must be non-empty cyclic p-group lists, checked once here, and
     iso a genuine isomorphism between their direct products, re-verified
-    at every level; a True return certifies that the order multisets are
-    permutations.
+    on the p-th power subgroups at every level; a True return certifies
+    that the order multisets are permutations.
     """
     l, m = list(l), list(m)
     if not l or not m:
         raise DomainError("uniqueness needs non-empty lists")
     if not cyclic_p_group_list_p(l) or not cyclic_p_group_list_p(m):
         raise DomainError("uniqueness needs cyclic p-group lists")
+    g, h = direct_product(l), direct_product(m)
+    ol, om = orders(l), orders(m)
     verdict = True
     while True:
-        dpl, dpm = direct_product(l), direct_product(m)
-        witness = homomorphism_check(iso, dpl, dpm)
+        witness = homomorphism_check(iso, g, h)
         if witness is not None:
             raise DomainError(f"map is not a homomorphism: {witness}")
-        if not classify(iso, dpl, dpm).isomorphism:
+        if not classify(iso, g, h).isomorphism:
             raise DomainError("map is not an isomorphism")
-        verdict = permutationp(orders(l), orders(m)) and verdict
-        p = first_prime(l)
-        pl, pm = group_power_list(p, l), group_power_list(p, m)
-        l, m = delete_trivial(pl), delete_trivial(pm)
-        if not l or not m:
+        verdict = permutationp(ol, om) and verdict
+        p = least_prime_divisor(ol[0])
+        g, h = group_power(p, g), group_power(p, h)
+        ol, om = _contract(ol, p), _contract(om, p)
+        if not ol or not om:
             return verdict
-        iso = reduce_cyclic_iso(iso, pl, pm)

@@ -10,7 +10,8 @@ element of a given order, the checked split of a p-group with its witness
 and the complement it splits off as a subgroup, the splitting contract of a
 p-group, products of subgroups and the counting argument behind their size,
 internal direct products and their appending, the power of a direct product,
-and the order reduction of the uniqueness contraction.  No CLI verb,
+and the uniqueness contraction: its order reduction, and the power lists,
+trivial-factor deletion and transported map of its former loop.  No CLI verb,
 selftest or script calls them, so they live here, beside the tests that
 check them.
 """
@@ -23,10 +24,11 @@ import numpy as np
 from grouptables.abelian import subgroup_ord_dividing
 from grouptables.core import FiniteGroup, abelianp, cyclic, subgroup
 from grouptables.errors import DomainError
-from grouptables.numtheory import check_nat, primep
+from grouptables.gmaps import GroupMap
+from grouptables.numtheory import check_nat, least_prime_divisor, primep
 from grouptables.pgroup import _complement, _split, cyclicp, max_ord, p_groupp
-from grouptables.products import direct_product
-from grouptables.uniqueness import delete_trivial, group_power, group_power_list
+from grouptables.products import direct_product, group_tuples
+from grouptables.uniqueness import group_power
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +373,40 @@ def internal_direct_product_append(l, m, g):
 
 # ---------------------------------------------------------------------------
 # uniqueness
+
+
+def group_power_list(n, l):
+    return tuple(group_power(n, g) for g in l)
+
+
+def first_prime(l):
+    if not l or l[0].order <= 1:
+        raise DomainError("first-prime needs a leading non-trivial group")
+    return least_prime_divisor(l[0].order)
+
+
+def delete_trivial(l):
+    return tuple(g for g in l if g.order > 1)
+
+
+def delete_trivial_elt(x, l):
+    return tuple(c for c, g in zip(x, l) if g.order > 1)
+
+
+def reduce_cyclic_iso(iso, pl, pm):
+    """Transport an isomorphism dp(l) -> dp(m) to the contracted products,
+    given the p-th power lists pl and pm of l and m.
+
+    The restriction of iso to the p-th power subgroup (legitimate because
+    isomorphic abelian groups have isomorphic n-th powers), with the
+    trivial components dropped on both sides.  GroupMap's distinct-key
+    check rejects a contraction that is not injective; the map itself is
+    checked in full by the next level of verify_unique_factorization.
+    """
+    return GroupMap(tuple(
+        (delete_trivial_elt(x, pl), delete_trivial_elt(iso.apply(x), pm))
+        for x in group_tuples(pl)
+    ))
 
 
 def reduce_orders(orders_, p):

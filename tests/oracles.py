@@ -10,7 +10,9 @@ element orders, powers and inverses are stepped or scanned on the table
 rather than read from its power table, left cosets are
 read from a membership mask and normality from conjugates rather than both
 from sorted table columns, the uniqueness contraction map is composed from
-three maps rather than built in one pass, the p-group split is read off
+three maps rather than built in one pass, the uniqueness induction rebuilds
+both direct products at every level and carries the map down to them
+rather than restricting it to p-th power subgroups, the p-group split is read off
 the quotient groups g/<a> rather than computed on g's indices modulo a
 subgroup, the p-group complement recurses through those quotients with
 every level checked, the p-group factorization builds each complement as
@@ -21,15 +23,18 @@ than reading every block off the input group.
 The oracles read a library group in one way, `plain(g)`: its roster, each
 element's roster index and its table as lists of ints.  Orders, powers,
 closures and subgroups (`restricted`) are computed on those lists, and a
-map is read from its `pairs` alone.  Only the four verbatim references
+map is read from its `pairs` alone.  Only the five verbatim references
 `quotient_split`, `recursive_complement_subgroup`,
-`nested_cyclic_p_subgroup_list` and `chained_cyclic_subgroup_list`, whose
-purpose is to be the library's former code, build on the library: on its
-`abelianp`, `cyclic`, `cyclicp`, `cyclic_p_subgroup_list`, `max_ord`,
-`p_groupp`, `powers` and `subgroup_ord_dividing`, on `FiniteGroup`'s `op`,
-`power` and `inv`, and on `elt_of_ord`, `lcoset`, `lift`, `quotient`,
-`split_witness` and `SplitData`, which tests/lemmas.py holds.
-tests/test_certcheck.py fails if any other oracle reaches further.
+`nested_cyclic_p_subgroup_list`, `chained_cyclic_subgroup_list` and
+`transported_unique_factorization`, whose purpose is to be the library's
+former code, build on the library: on its `abelianp`, `classify`, `cyclic`,
+`cyclicp`, `cyclic_p_group_list_p`, `cyclic_p_subgroup_list`,
+`direct_product`, `homomorphism_check`, `max_ord`, `orders`, `p_groupp`,
+`permutationp`, `powers` and `subgroup_ord_dividing`, on `FiniteGroup`'s
+`op`, `power` and `inv`, and on `delete_trivial`, `elt_of_ord`,
+`first_prime`, `group_power_list`, `lcoset`, `lift`, `quotient`,
+`reduce_cyclic_iso`, `split_witness` and `SplitData`, which tests/lemmas.py
+holds.  tests/test_certcheck.py fails if any other oracle reaches further.
 """
 from __future__ import annotations
 
@@ -41,10 +46,29 @@ import numpy as np
 from grouptables.abelian import subgroup_ord_dividing
 from grouptables.core import MAX_DEPTH, MAX_ORDER, FiniteGroup, abelianp, cyclic, powers
 from grouptables.errors import DomainError, ResourceError
-from grouptables.gmaps import GroupMap
-from grouptables.pgroup import cyclic_p_subgroup_list, cyclicp, max_ord, p_groupp
+from grouptables.gmaps import GroupMap, classify, homomorphism_check
+from grouptables.pgroup import (
+    cyclic_p_group_list_p,
+    cyclic_p_subgroup_list,
+    cyclicp,
+    max_ord,
+    p_groupp,
+)
+from grouptables.products import direct_product
+from grouptables.uniqueness import orders, permutationp
 
-from lemmas import SplitData, elt_of_ord, lcoset, lift, quotient, split_witness
+from lemmas import (
+    SplitData,
+    delete_trivial,
+    elt_of_ord,
+    first_prime,
+    group_power_list,
+    lcoset,
+    lift,
+    quotient,
+    reduce_cyclic_iso,
+    split_witness,
+)
 
 
 def naive_gcd(m, n):
@@ -541,6 +565,39 @@ def chained_cyclic_subgroup_list(g):
         h, g = subgroup_ord_dividing(m, g), subgroup_ord_dividing(g.order // m, g)
         factors += cyclic_p_subgroup_list(p, h)
     return factors
+
+
+def transported_unique_factorization(l, m, iso):
+    """The library's former uniqueness.verify_unique_factorization: at every
+    level it builds the direct products of both lists, checks iso on them,
+    takes each factor's p-th powers, drops the trivial ones and carries iso
+    down to the contracted products with reduce_cyclic_iso.
+
+    l and m must be non-empty cyclic p-group lists, checked once here, and
+    iso a genuine isomorphism between their direct products, re-verified
+    at every level; a True return certifies that the order multisets are
+    permutations.
+    """
+    l, m = list(l), list(m)
+    if not l or not m:
+        raise DomainError("uniqueness needs non-empty lists")
+    if not cyclic_p_group_list_p(l) or not cyclic_p_group_list_p(m):
+        raise DomainError("uniqueness needs cyclic p-group lists")
+    verdict = True
+    while True:
+        dpl, dpm = direct_product(l), direct_product(m)
+        witness = homomorphism_check(iso, dpl, dpm)
+        if witness is not None:
+            raise DomainError(f"map is not a homomorphism: {witness}")
+        if not classify(iso, dpl, dpm).isomorphism:
+            raise DomainError("map is not an isomorphism")
+        verdict = permutationp(orders(l), orders(m)) and verdict
+        p = first_prime(l)
+        pl, pm = group_power_list(p, l), group_power_list(p, m)
+        l, m = delete_trivial(pl), delete_trivial(pm)
+        if not l or not m:
+            return verdict
+        iso = reduce_cyclic_iso(iso, pl, pm)
 
 
 def generated_subgroup(g, gens):

@@ -25,7 +25,6 @@ from grouptables.pgroup import cyclic_p_group_list_p, cyclic_p_subgroup_list
 from grouptables.products import direct_product, product_orders
 from grouptables.uniqueness import (
     group_power,
-    group_power_list,
     orders,
     permutationp,
     verify_unique_factorization,
@@ -34,6 +33,7 @@ from grouptables.uniqueness import (
 from lemmas import (
     elt_of_ord,
     group_intersection,
+    group_power_list,
     internal_direct_product_p,
     lift,
     lift_cosets,

@@ -1,6 +1,6 @@
 """tests/certcheck.py stands apart from the library, and it rejects
 certificates that are false; tests/oracles.py takes from the library only
-what its four verbatim references of former library code need."""
+what its five verbatim references of former library code need."""
 import ast
 import contextlib
 import io
@@ -38,16 +38,18 @@ def test_checker_imports_only_the_standard_library():
 
 
 # the names the oracles may import: the types and guards, and what the
-# four verbatim references of former library code call
+# five verbatim references of former library code call
 ORACLE_IMPORTS = {
     "grouptables": {"FiniteGroup", "GroupMap", "DomainError", "ResourceError",
-                    "MAX_DEPTH", "MAX_ORDER", "abelianp", "cyclic", "cyclicp",
-                    "cyclic_p_subgroup_list", "max_ord", "p_groupp", "powers",
-                    "subgroup_ord_dividing"},
-    "lemmas": {"SplitData", "elt_of_ord", "lcoset", "lift", "quotient", "split_witness"},
+                    "MAX_DEPTH", "MAX_ORDER", "abelianp", "classify", "cyclic", "cyclicp",
+                    "cyclic_p_group_list_p", "cyclic_p_subgroup_list", "direct_product",
+                    "homomorphism_check", "max_ord", "orders", "p_groupp", "permutationp",
+                    "powers", "subgroup_ord_dividing"},
+    "lemmas": {"SplitData", "delete_trivial", "elt_of_ord", "first_prime", "group_power_list",
+               "lcoset", "lift", "quotient", "reduce_cyclic_iso", "split_witness"},
 }
 VERBATIM = {"quotient_split", "recursive_complement_subgroup", "nested_cyclic_p_subgroup_list",
-            "chained_cyclic_subgroup_list"}
+            "chained_cyclic_subgroup_list", "transported_unique_factorization"}
 # FiniteGroup's and GroupMap's element-level methods and internals
 LIBRARY_ATTRIBUTES = {"op", "power", "inv", "element_order", "apply", "domain", "_powers",
                       "_orders", "_pos", "_power_row", "_table"}

@@ -1,28 +1,43 @@
 import importlib
 import math
+import random
+from collections import Counter
+from itertools import groupby, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grouptables.core import abelianp, cyclic_group, check_group
 from grouptables.errors import DomainError
-from grouptables.gmaps import classify, homomorphism_check, identity_map
+from grouptables.gmaps import GroupMap, classify, homomorphism_check, identity_map
 from grouptables.products import direct_product, group_tuples
 from grouptables.uniqueness import (
-    delete_trivial,
-    first_prime,
     group_power,
-    group_power_list,
     hits_diff,
     orders,
     permutationp,
-    reduce_cyclic_iso,
     verify_unique_factorization,
 )
 from grouptables.gmaps import map_from_function
 
-from lemmas import group_power_dp_check, reduce_cyclic, reduce_orders
-from oracles import brute_force_isomorphism, composed_reduce_cyclic_iso, delete_trivial_iso
+from conftest import relabelled
+from lemmas import (
+    delete_trivial,
+    first_prime,
+    group_power_dp_check,
+    group_power_list,
+    reduce_cyclic,
+    reduce_cyclic_iso,
+    reduce_orders,
+)
+from oracles import (
+    abelian_types,
+    brute_force_isomorphism,
+    composed_reduce_cyclic_iso,
+    delete_trivial_iso,
+    naive_factorize,
+    transported_unique_factorization,
+)
 
 
 def zs(*ns):
@@ -117,6 +132,20 @@ class TestGroupPowerDp:
         l = zs(2, 2)
         assert group_power(2, direct_product(l)).order == 1
         assert group_power_dp_check(2, l)
+
+    def test_every_type_and_prime_to_256(self):
+        # the lemma behind restricting the map to the p-th power subgroups,
+        # on the built factors and on relabelled copies of them
+        rng = random.Random(26)
+        checks = 0
+        for t in abelian_types(256):
+            l = zs(*t)
+            shuffled = [relabelled(g, rng) for g in l]
+            for p, _ in naive_factorize(math.prod(t)):
+                assert group_power_dp_check(p, l), (t, p)
+                assert group_power_dp_check(p, shuffled), (t, p)
+                checks += 1
+        assert checks == 955
 
     def test_order_group_power_list(self):
         for l in (zs(4, 3), zs(2, 8), zs(9, 2)):
@@ -225,9 +254,10 @@ class TestVerifyUniqueFactorization:
         l, m = zs(2, 4, 3), zs(3, 4, 2)
         reverse = map_from_function(group_tuples(l), lambda x: x[::-1])
         assert verify_unique_factorization(l, m, reverse)
+        # the products are built at entry only; the deeper levels are their
+        # p-th power subgroups
+        assert levels == [(2, 4, 3), (3, 4, 2)]
         # Z2 x Z4 x Z3 -> Z2 x Z3 (p = 2) -> Z3 (p = 2) -> trivial (p = 3)
-        assert levels[::2] == [(2, 4, 3), (2, 3), (3,)]
-        assert levels[1::2] == [(3, 4, 2), (3, 2), (3,)]
         assert hom_check_calls == [(24, 24), (6, 6), (3, 3)]
 
     @pytest.mark.parametrize("ls, ms", [((2, 4, 3), (3, 4, 2)), ((8,), (8,)),
@@ -242,8 +272,9 @@ class TestVerifyUniqueFactorization:
         l, m = zs(2, 4, 8), zs(8, 2, 4)
         iso = map_from_function(group_tuples(l), lambda x: (x[2], x[0], x[1]))
         assert verify_unique_factorization(l, m, iso)
-        # (2, 4, 8) -> (2, 4) -> (2,) -> trivial: 6 + 4 + 2 power subgroups
-        assert power_calls == {"group_power": 12}
+        # (2, 4, 8) -> (2, 4) -> (2,) -> trivial: one power subgroup per
+        # side per level
+        assert power_calls == {"group_power": 6}
 
 
 # orders of cyclic p-groups; permuted_lists keeps their products at most 72
@@ -276,3 +307,62 @@ class TestReduceCyclicIsoOracle:
             reduced = reduce_cyclic_iso(iso, group_power_list(p, l), group_power_list(p, m))
             assert reduced.pairs == composed_reduce_cyclic_iso(iso, l, m, p).pairs
             iso, l, m = reduced, l2, m2
+
+
+def transported_cases():
+    """(l, m, iso) for each abelian type of order <= 64, as a seeded
+    arrangement l of its factors, a seeded permutation m of l and the
+    coordinate map between their products, that map again with the images
+    of two seeded elements swapped and, up to order 32, the map onto the
+    identity; and the roster-position bijection dp(l) -> dp(m) for each
+    ordered pair of different types l, m of equal order <= 32."""
+    for t in abelian_types(64):
+        rng = random.Random(repr(t))
+        ns = list(t)
+        rng.shuffle(ns)
+        sigma = rng.sample(range(len(ns)), len(ns))
+        l, m = zs(*ns), zs(*(ns[s] for s in sigma))
+        image = {x: tuple(x[s] for s in sigma) for x in group_tuples(l)}
+        yield l, m, GroupMap(tuple(image.items()))
+        a, b = rng.sample(sorted(image), 2)
+        image[a], image[b] = image[b], image[a]
+        yield l, m, GroupMap(tuple(image.items()))
+        if math.prod(t) <= 32:
+            yield l, m, GroupMap(tuple((x, (0,) * len(ns)) for x in image))
+    for _, same in groupby(abelian_types(32), math.prod):
+        for t, u in permutations(same, 2):
+            l, m = zs(*t), zs(*u)
+            yield l, m, GroupMap(tuple(zip(group_tuples(l), group_tuples(m))))
+
+
+class TestTransportedReference:
+    def test_same_outcomes_and_check_sizes(self, monkeypatch):
+        """The library and its former loop give the same verdict, or the
+        same exception type and message, after homomorphism checks of the
+        same sizes, level by level."""
+        sizes = []
+
+        def recorded(iso, g, h):
+            sizes.append((g.order, h.order))
+            return homomorphism_check(iso, g, h)
+
+        uniqueness = importlib.import_module("grouptables.uniqueness")
+        oracles = importlib.import_module("oracles")
+        monkeypatch.setattr(uniqueness, "homomorphism_check", recorded)
+        monkeypatch.setattr(oracles, "homomorphism_check", recorded)
+        outcomes = Counter()
+        for l, m, iso in transported_cases():
+            runs = []
+            for verify in (verify_unique_factorization, transported_unique_factorization):
+                sizes.clear()
+                try:
+                    out = verify(l, m, iso)
+                except DomainError as e:
+                    out = (type(e), str(e))
+                runs.append((out, list(sizes)))
+            assert runs[0] == runs[1], (orders(l), orders(m))
+            out = runs[0][0]
+            outcomes[out if isinstance(out, bool) else out[1].split(":")[0]] += 1
+        # one swap of two images is an automorphism of Z2 x Z2
+        assert outcomes == {True: 117, "map is not a homomorphism": 209,
+                            "map is not an isomorphism": 54}
