@@ -42,7 +42,6 @@ from .abelian import (
     subgroup_ord_dividing,
 )
 from .uniqueness import (
-    group_power,
     hits_diff,
     orders,
     permutationp,

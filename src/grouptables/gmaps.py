@@ -60,7 +60,7 @@ def identity_map(domain):
 class HomWitness:
     """The first counterexample found when a map fails to be a homomorphism."""
 
-    kind: str  # domain-coverage | identity | codomain | operation
+    kind: str  # domain-coverage | domain | identity | codomain | operation
     witness: tuple
 
     def __str__(self):
@@ -70,12 +70,14 @@ class HomWitness:
 def homomorphism_check(m, g, h):
     """None if m is a homomorphism g -> h, else the first HomWitness.
 
-    Scans in g-roster order, so the reported counterexample is
-    deterministic.
+    m's keys must be exactly g's elements.  Scans in g-roster order, so
+    the reported counterexample is deterministic.
     """
     for x in g.roster:
         if x not in m._table:
             return HomWitness("domain-coverage", (x,))
+    if len(m._table) != g.order:
+        return HomWitness("domain", (next(x for x in m._table if x not in g),))
     if m.apply(g.identity) != h.identity:
         return HomWitness("identity", (g.identity,))
     for x in g.roster:

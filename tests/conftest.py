@@ -135,5 +135,5 @@ def split_calls(monkeypatch):
 
 @pytest.fixture
 def power_calls(monkeypatch):
-    """A Counter of calls to group_power."""
-    return count_calls(monkeypatch, [("uniqueness", "group_power")])
+    """A Counter of calls to subgroup, which builds every power subgroup."""
+    return count_calls(monkeypatch, [("core", "subgroup")])

@@ -9,11 +9,11 @@ to the parent, normality, intersections and the trivial subgroup, the first
 element of a given order, the checked split of a p-group with its witness
 and the complement it splits off as a subgroup, the splitting contract of a
 p-group, products of subgroups and the counting argument behind their size,
-internal direct products and their appending, the power of a direct product,
-and the uniqueness contraction: its order reduction, and the power lists,
-trivial-factor deletion and transported map of its former loop.  No CLI verb,
-selftest or script calls them, so they live here, beside the tests that
-check them.
+internal direct products and their appending, n-th power subgroups and the
+power of a direct product, and the uniqueness contraction: its order
+reduction, and the power lists, trivial-factor deletion and transported map
+of its former loop.  No CLI verb, selftest or script calls them, so they
+live here, beside the tests that check them.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from grouptables.gmaps import GroupMap
 from grouptables.numtheory import check_nat, least_prime_divisor, primep
 from grouptables.pgroup import _complement, _split, cyclicp, max_ord, p_groupp
 from grouptables.products import direct_product, group_tuples
-from grouptables.uniqueness import group_power
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +372,17 @@ def internal_direct_product_append(l, m, g):
 
 # ---------------------------------------------------------------------------
 # uniqueness
+
+
+def group_power(n, g):
+    """The subgroup of n-th powers of an abelian group, in g order."""
+    if not abelianp(g):
+        raise DomainError("group-power needs an abelian group")
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    hit = np.zeros(g.order, dtype=bool)
+    hit[g._power_row(n)] = True
+    return subgroup(g, tuple(g.roster[i] for i in np.flatnonzero(hit)))
 
 
 def group_power_list(n, l):

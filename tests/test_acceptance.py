@@ -24,7 +24,6 @@ from grouptables.numtheory import least_prime_divisor, primep
 from grouptables.pgroup import cyclic_p_group_list_p, cyclic_p_subgroup_list
 from grouptables.products import direct_product, product_orders
 from grouptables.uniqueness import (
-    group_power,
     orders,
     permutationp,
     verify_unique_factorization,
@@ -33,6 +32,7 @@ from grouptables.uniqueness import (
 from lemmas import (
     elt_of_ord,
     group_intersection,
+    group_power,
     group_power_list,
     internal_direct_product_p,
     lift,

@@ -16,11 +16,12 @@ from grouptables.gmaps import GroupMap
 from grouptables.numtheory import check_nat
 from grouptables.pgroup import cyclic_p_subgroup_list, p_groupp
 from grouptables.products import direct_product
-from grouptables.uniqueness import group_power, verify_unique_factorization
+from grouptables.uniqueness import verify_unique_factorization
 
 from lemmas import (
     elt_of_ord,
     first_prime,
+    group_power,
     internal_direct_product_p,
     lcosets,
     lift,

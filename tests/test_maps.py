@@ -123,6 +123,13 @@ class TestHomomorphismCheck:
         m = GroupMap(((0, 0), (1, 1)))
         assert homomorphism_check(m, z4, z4).kind == "domain-coverage"
 
+    def test_domain_witness(self, z4):
+        # every element is mapped, but so is a key outside the group
+        m = GroupMap(tuple((x, x) for x in z4.roster) + ((7, 0), (9, 0)))
+        w = homomorphism_check(m, z4, z4)
+        assert (w.kind, w.witness) == ("domain", (7,))
+        assert str(w) == "domain failure at (7,)"
+
     def test_codomain_witness(self, z4):
         m = map_from_function(z4.roster, lambda x: 0 if x == 0 else "junk")
         w = homomorphism_check(m, z4, z4)

@@ -14,9 +14,9 @@ import pytest
 
 from grouptables.core import abelianp, cyclic_group, powers, symmetric_group
 from grouptables.products import direct_product
-from grouptables.uniqueness import group_power
 
 from conftest import relabelled
+from lemmas import group_power
 from oracles import (
     prime_power_multisets,
     scanned_inv,

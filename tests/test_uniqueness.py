@@ -12,18 +12,20 @@ from grouptables.errors import DomainError
 from grouptables.gmaps import GroupMap, classify, homomorphism_check, identity_map
 from grouptables.products import direct_product, group_tuples
 from grouptables.uniqueness import (
-    group_power,
     hits_diff,
     orders,
     permutationp,
     verify_unique_factorization,
 )
+from grouptables.fileformat import format_element, parse_map, print_map
 from grouptables.gmaps import map_from_function
 
+from certcheck import check_map_certificate
 from conftest import relabelled
 from lemmas import (
     delete_trivial,
     first_prime,
+    group_power,
     group_power_dp_check,
     group_power_list,
     reduce_cyclic,
@@ -254,11 +256,10 @@ class TestVerifyUniqueFactorization:
         l, m = zs(2, 4, 3), zs(3, 4, 2)
         reverse = map_from_function(group_tuples(l), lambda x: x[::-1])
         assert verify_unique_factorization(l, m, reverse)
-        # the products are built at entry only; the deeper levels are their
-        # p-th power subgroups
+        # the products are built at entry only, and the map is checked once,
+        # on them: no level below it can fail
         assert levels == [(2, 4, 3), (3, 4, 2)]
-        # Z2 x Z4 x Z3 -> Z2 x Z3 (p = 2) -> Z3 (p = 2) -> trivial (p = 3)
-        assert hom_check_calls == [(24, 24), (6, 6), (3, 3)]
+        assert hom_check_calls == [(24, 24)]
 
     @pytest.mark.parametrize("ls, ms", [((2, 4, 3), (3, 4, 2)), ((8,), (8,)),
                                         ((2, 2, 9), (9, 2, 2))])
@@ -272,9 +273,8 @@ class TestVerifyUniqueFactorization:
         l, m = zs(2, 4, 8), zs(8, 2, 4)
         iso = map_from_function(group_tuples(l), lambda x: (x[2], x[0], x[1]))
         assert verify_unique_factorization(l, m, iso)
-        # (2, 4, 8) -> (2, 4) -> (2,) -> trivial: one power subgroup per
-        # side per level
-        assert power_calls == {"group_power": 6}
+        # the check needs no power subgroup, nor any other subgroup
+        assert power_calls == {}
 
 
 # orders of cyclic p-groups; permuted_lists keeps their products at most 72
@@ -337,9 +337,9 @@ def transported_cases():
 
 class TestTransportedReference:
     def test_same_outcomes_and_check_sizes(self, monkeypatch):
-        """The library and its former loop give the same verdict, or the
-        same exception type and message, after homomorphism checks of the
-        same sizes, level by level."""
+        """The library and the paper's per-level loop give the same verdict,
+        or the same exception type and message; the library's one
+        homomorphism check is the loop's first, on the two products."""
         sizes = []
 
         def recorded(iso, g, h):
@@ -360,9 +360,32 @@ class TestTransportedReference:
                 except DomainError as e:
                     out = (type(e), str(e))
                 runs.append((out, list(sizes)))
-            assert runs[0] == runs[1], (orders(l), orders(m))
-            out = runs[0][0]
+            (out, lib_sizes), (ref_out, ref_sizes) = runs
+            assert out == ref_out and lib_sizes == ref_sizes[:1], (orders(l), orders(m))
             outcomes[out if isinstance(out, bool) else out[1].split(":")[0]] += 1
         # one swap of two images is an automorphism of Z2 x Z2
         assert outcomes == {True: 117, "map is not a homomorphism": 209,
                             "map is not an isomorphism": 54}
+
+
+class TestCertificateAgreement:
+    def test_unique_and_certcheck_agree(self):
+        """unique's verdict on each map file of transported_cases() is the
+        independent checker's; with one pair outside the domain appended,
+        both reject every map."""
+        accepted = 0
+        for l, m, iso in transported_cases():
+            ol, om = orders(l), orders(m)
+            text = print_map(iso)
+            outside = f"{text}{format_element(ol)} -> {format_element((0,) * len(om))}\n"
+            verdicts = []
+            for t in (text, outside):
+                try:
+                    ok = verify_unique_factorization(l, m, parse_map(t))
+                except DomainError:
+                    ok = False
+                verdicts.append((ok, check_map_certificate(ol, om, t) is None))
+            assert verdicts[0][0] == verdicts[0][1], (ol, om)
+            assert verdicts[1] == (False, False), (ol, om)
+            accepted += verdicts[0][0]
+        assert accepted == 117
