@@ -30,7 +30,6 @@ from .products import (
     product_orders,
 )
 from .pgroup import (
-    cyclic_p_subgroup_list,
     cyclicp,
     max_ord,
     p_groupp,
@@ -39,7 +38,6 @@ from .abelian import (
     AbelianFactorization,
     abelian_factorization,
     cyclic_subgroup_list,
-    subgroup_ord_dividing,
 )
 from .uniqueness import (
     hits_diff,

@@ -3,7 +3,8 @@
 By the primary decomposition G = G_p1 x ... x G_pr, each p-primary block
 G_p is the subgroup of elements whose order divides the maximal p-power
 part of |G|.  Each block is read off the input group itself, primes in
-ascending order, and factored with the p-group machinery.
+ascending order, as the array of its g-indices in g's roster order, and
+factored with the p-group loop; no block is built as a group.
 Arguments are checked at each public entry; the result is checked once,
 when the explicit isomorphism onto the direct product of the factors is
 verified before it is returned.
@@ -12,29 +13,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import abelianp, subgroup
+import numpy as np
+
+from .core import abelianp
 from .errors import DomainError
 from .gmaps import GroupMap, classify, homomorphism_check
 from .numtheory import least_prime_divisor, max_power_dividing
-from .pgroup import cyclic_p_subgroup_list
+from .pgroup import _cyclic_factors
 from .products import direct_product, product_list_map
-
-
-def subgroup_ord_dividing(m, g):
-    """The subgroup of elements whose order divides m.  In an abelian g they
-    always form one; elsewhere subgroup() rejects them unless closed."""
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    orders = g._orders.tolist()
-    return subgroup(g, tuple(x for x, k in zip(g.roster, orders) if m % k == 0))
 
 
 def cyclic_subgroup_list(g):
     """The full list of cyclic p-subgroups factoring an abelian g.
 
-    Blocks come out by ascending prime, each read off g itself; within a
-    block, orders are non-increasing.  The trivial group yields the empty
-    list.
+    Blocks come out by ascending prime, each the g-indices whose element
+    order divides the block order; within a block, orders are
+    non-increasing.  The trivial group yields the empty list.
     """
     if not abelianp(g):
         raise DomainError("cyclic-subgroup-list needs an abelian group")
@@ -42,7 +36,7 @@ def cyclic_subgroup_list(g):
     while n > 1:
         p = least_prime_divisor(n)
         m = max_power_dividing(p, n)
-        factors += cyclic_p_subgroup_list(p, subgroup_ord_dividing(m, g))
+        factors += _cyclic_factors(p, g, np.flatnonzero(m % g._orders == 0))
         n //= m
     return factors
 

@@ -92,12 +92,13 @@ def hom_check_calls(monkeypatch):
 def count_calls(monkeypatch, targets):
     """A Counter of calls to each (module, name) function in targets, with
     module a grouptables submodule or lemmas, counted under every name a
-    grouptables module binds the function to."""
+    grouptables module or lemmas binds the function to."""
     counts = Counter()
     targets = [(name, getattr(importlib.import_module(
                     module if module == "lemmas" else "grouptables." + module), name))
                for module, name in targets]
-    modules = [m for n, m in list(sys.modules.items()) if n.startswith("grouptables.")]
+    modules = [m for n, m in list(sys.modules.items())
+               if n.startswith("grouptables.") or n == "lemmas"]
     for name, fn in targets:
 
         def counted(*args, fn=fn, name=name):
@@ -113,10 +114,10 @@ def count_calls(monkeypatch, targets):
 
 @pytest.fixture
 def factorization_calls(monkeypatch):
-    """A Counter of calls to cyclic_subgroup_list, cyclic_p_subgroup_list and
-    internal_direct_product_p, which lemmas holds."""
+    """A Counter of calls to cyclic_subgroup_list, to _cyclic_factors, the
+    p-group loop, and to internal_direct_product_p, which lemmas holds."""
     return count_calls(monkeypatch, [("abelian", "cyclic_subgroup_list"),
-                                     ("pgroup", "cyclic_p_subgroup_list"),
+                                     ("pgroup", "_cyclic_factors"),
                                      ("lemmas", "internal_direct_product_p")])
 
 

@@ -1,19 +1,21 @@
 """The paper's lemmas, kept as executable checks.
 
 The ACL2 development states its proof steps as functions: the gcd with
-Bezout coefficients, the split of an abelian group of relatively-prime
-order m*n into its subgroups of orders m and n, the Bezout split of an
-element, the element orderings of a roster, the structural subgroup test,
-left cosets, quotient groups of cosets and the lift of their subgroups back
-to the parent, normality, intersections and the trivial subgroup, the first
-element of a given order, the checked split of a p-group with its witness
-and the complement it splits off as a subgroup, the splitting contract of a
-p-group, products of subgroups and the counting argument behind their size,
-internal direct products and their appending, n-th power subgroups and the
-power of a direct product, and the uniqueness contraction: its order
-reduction, and the power lists, trivial-factor deletion and transported map
-of its former loop.  No CLI verb, selftest or script calls them, so they
-live here, beside the tests that check them.
+Bezout coefficients, the subgroup of elements of order dividing m, the
+split of an abelian group of relatively-prime order m*n into its subgroups
+of orders m and n, the Bezout split of an element, the element orderings of
+a roster, the structural subgroup test, left cosets, quotient groups of
+cosets and the lift of their subgroups back to the parent, normality,
+intersections and the trivial subgroup, the first element of a given
+order, the checked split of a p-group with its witness and the complement
+it splits off as a subgroup, the splitting contract of a p-group, the
+checked factorization of a p-group on its own, products of subgroups and
+the counting argument behind their size, internal direct products and
+their appending, n-th power subgroups and the power of a direct product,
+and the uniqueness contraction: its order reduction, and the power lists,
+trivial-factor deletion and transported map of its former loop.  No CLI
+verb, selftest or script calls them, so they live here, beside the tests
+that check them.
 """
 from __future__ import annotations
 
@@ -21,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from grouptables.abelian import subgroup_ord_dividing
 from grouptables.core import FiniteGroup, abelianp, cyclic, subgroup
 from grouptables.errors import DomainError
 from grouptables.gmaps import GroupMap
 from grouptables.numtheory import check_nat, least_prime_divisor, primep
-from grouptables.pgroup import _complement, _split, cyclicp, max_ord, p_groupp
+from grouptables.pgroup import _complement, _cyclic_factors, _split, cyclicp, max_ord, p_groupp
 from grouptables.products import direct_product, group_tuples
 
 
@@ -189,6 +190,15 @@ def gcd_bezout(m, n):
 # abelian
 
 
+def subgroup_ord_dividing(m, g):
+    """The subgroup of elements whose order divides m.  In an abelian g they
+    always form one; elsewhere subgroup() rejects them unless closed."""
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    orders = g._orders.tolist()
+    return subgroup(g, tuple(x for x, k in zip(g.roster, orders) if m % k == 0))
+
+
 def rel_prime_split(g, m, n):
     """Split an abelian g of order m*n (gcd(m, n) = 1) into subgroups of
     orders exactly m and n; coprimality makes them meet trivially."""
@@ -210,7 +220,8 @@ def bezout_decomposition(g, x, m, n):
 
 
 # ---------------------------------------------------------------------------
-# pgroup: the checked split, the complement as a subgroup, the splitting contract
+# pgroup: the checked split, the complement as a subgroup, the splitting
+# contract, the checked factorization of a p-group
 
 
 @dataclass(frozen=True)
@@ -269,6 +280,16 @@ def desired_properties_check(g, g1, g2):
     if group_intersection(g1, g2, g).roster != (g.identity,):
         return False, "g1 and g2 intersect non-trivially"
     return True, None
+
+
+def cyclic_p_subgroup_list(p, g):
+    """The tuple of cyclic subgroups whose direct product is the abelian
+    p-group g: g checked as one, then pgroup._cyclic_factors on all of g."""
+    if not p_groupp(g, p):
+        raise DomainError("not a p-group for p")
+    if not abelianp(g):
+        raise DomainError("not abelian")
+    return _cyclic_factors(p, g, np.arange(g.order))
 
 
 # ---------------------------------------------------------------------------

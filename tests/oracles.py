@@ -28,13 +28,12 @@ map is read from its `pairs` alone.  Only the five verbatim references
 `nested_cyclic_p_subgroup_list`, `chained_cyclic_subgroup_list` and
 `transported_unique_factorization`, whose purpose is to be the library's
 former code, build on the library: on its `abelianp`, `classify`, `cyclic`,
-`cyclicp`, `cyclic_p_group_list_p`, `cyclic_p_subgroup_list`,
-`direct_product`, `homomorphism_check`, `max_ord`, `orders`, `p_groupp`,
-`permutationp`, `powers` and `subgroup_ord_dividing`, on `FiniteGroup`'s
-`op`, `power` and `inv`, and on `delete_trivial`, `elt_of_ord`,
-`first_prime`, `group_power_list`, `lcoset`, `lift`, `quotient`,
-`reduce_cyclic_iso`, `split_witness` and `SplitData`, which tests/lemmas.py
-holds.  tests/test_certcheck.py fails if any other oracle reaches further.
+`cyclicp`, `cyclic_p_group_list_p`, `direct_product`, `homomorphism_check`,
+`max_ord`, `orders`, `p_groupp`, `permutationp` and `powers`, on
+`FiniteGroup`'s `op`, `power` and `inv`, and on `cyclic_p_subgroup_list`,
+`delete_trivial`, `elt_of_ord`, `first_prime`, `group_power_list`,
+`lcoset`, `lift`, `quotient`, `reduce_cyclic_iso`, `split_witness`,
+`subgroup_ord_dividing` and `SplitData`, which tests/lemmas.py holds.  tests/test_certcheck.py fails if any other oracle reaches further.
 """
 from __future__ import annotations
 
@@ -43,13 +42,11 @@ from itertools import permutations, product
 
 import numpy as np
 
-from grouptables.abelian import subgroup_ord_dividing
 from grouptables.core import MAX_DEPTH, MAX_ORDER, FiniteGroup, abelianp, cyclic, powers
 from grouptables.errors import DomainError, ResourceError
 from grouptables.gmaps import GroupMap, classify, homomorphism_check
 from grouptables.pgroup import (
     cyclic_p_group_list_p,
-    cyclic_p_subgroup_list,
     cyclicp,
     max_ord,
     p_groupp,
@@ -59,6 +56,7 @@ from grouptables.uniqueness import orders, permutationp
 
 from lemmas import (
     SplitData,
+    cyclic_p_subgroup_list,
     delete_trivial,
     elt_of_ord,
     first_prime,
@@ -68,6 +66,7 @@ from lemmas import (
     quotient,
     reduce_cyclic_iso,
     split_witness,
+    subgroup_ord_dividing,
 )
 
 

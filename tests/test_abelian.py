@@ -3,11 +3,7 @@ import random
 
 import pytest
 
-from grouptables.abelian import (
-    abelian_factorization,
-    cyclic_subgroup_list,
-    subgroup_ord_dividing,
-)
+from grouptables.abelian import abelian_factorization, cyclic_subgroup_list
 from grouptables.core import cyclic_group, subgroup
 from grouptables.errors import DomainError
 from grouptables.gmaps import classify, homomorphism_check
@@ -20,11 +16,13 @@ from grouptables.products import (
 )
 from grouptables.uniqueness import orders
 
+from conftest import relabelled
 from lemmas import (
     bezout_decomposition,
     group_intersection,
     internal_direct_product_p,
     rel_prime_split,
+    subgroup_ord_dividing,
 )
 from oracles import abelian_types, chained_cyclic_subgroup_list, invariant_factors
 
@@ -109,18 +107,23 @@ class TestCyclicSubgroupList:
 
 
 class TestChainedOracle:
-    @pytest.mark.parametrize("form, seed", [("primary", 1), ("invariant", 2)])
+    @pytest.mark.parametrize("form, seed", [("primary", 1), ("invariant", 2), ("relabelled", 3)])
     def test_loop_equals_chained_reference(self, form, seed):
         """Exact equality, factor by factor (roster and table), over every
         abelian type of order <= 256 built with its moduli in a seeded
-        random order."""
+        random order, or as a seeded relabelled copy of its primary form,
+        whose blocks lie scattered through the roster.  The reference
+        builds each block as a subgroup in g's roster order, so it checks
+        that an index block keeps that order."""
         rng = random.Random(seed)
         types = abelian_types(256)
         assert len(types) == 515
         for t in types:
-            moduli = list(t if form == "primary" else invariant_factors(t))
+            moduli = list(t if form != "invariant" else invariant_factors(t))
             rng.shuffle(moduli)
             g = dp(*moduli)
+            if form == "relabelled":
+                g = relabelled(g, rng)
             assert cyclic_subgroup_list(g) == chained_cyclic_subgroup_list(g), moduli
 
 
@@ -152,14 +155,20 @@ class TestAbelianFactorization:
         with pytest.raises(DomainError):
             abelian_factorization(cyclic_group(1))
 
-    def test_each_precondition_checked_once(self, factorization_calls):
-        # Z2^4 x Z9, Z2 x Z3 x Z5 and Z8 x Z8 have 2, 3 and 1 prime blocks
-        for g, blocks in ((dp(2, 2, 2, 2, 9), 2), (dp(2, 3, 5), 3), (dp(8, 8), 1)):
+    def test_each_precondition_checked_once(self, factorization_calls, split_calls):
+        """g is checked abelian once at each public entry, and no block is
+        built as a subgroup: the one subgroup built per factor is the
+        factor.  Z2^4 x Z9, Z2 x Z3 x Z5 and Z8 x Z8 have 2, 3 and 1 prime
+        blocks and 5, 3 and 2 factors."""
+        for g, blocks, factors in ((dp(2, 2, 2, 2, 9), 2, 5), (dp(2, 3, 5), 3, 3),
+                                   (dp(8, 8), 1, 2)):
             factorization_calls.clear()
+            split_calls.clear()
             abelian_factorization(g)
             assert factorization_calls["cyclic_subgroup_list"] == 1
-            assert factorization_calls["cyclic_p_subgroup_list"] == blocks
+            assert factorization_calls["_cyclic_factors"] == blocks
             assert factorization_calls["internal_direct_product_p"] == 0
+            assert split_calls == {"abelianp": 2, "subgroup": factors}
 
     @pytest.mark.parametrize("copies", [2, 1])
     def test_isomorphism_check_is_the_only_guard(self, monkeypatch, z4, copies):

@@ -21,7 +21,7 @@ from grouptables.core import (
 )
 from grouptables.gmaps import classify, homomorphism_check, image, kernel, map_from_function
 from grouptables.numtheory import least_prime_divisor, primep
-from grouptables.pgroup import cyclic_p_group_list_p, cyclic_p_subgroup_list
+from grouptables.pgroup import cyclic_p_group_list_p
 from grouptables.products import direct_product, product_orders
 from grouptables.uniqueness import (
     orders,
@@ -30,6 +30,7 @@ from grouptables.uniqueness import (
 )
 
 from lemmas import (
+    cyclic_p_subgroup_list,
     elt_of_ord,
     group_intersection,
     group_power,

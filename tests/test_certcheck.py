@@ -42,11 +42,11 @@ def test_checker_imports_only_the_standard_library():
 ORACLE_IMPORTS = {
     "grouptables": {"FiniteGroup", "GroupMap", "DomainError", "ResourceError",
                     "MAX_DEPTH", "MAX_ORDER", "abelianp", "classify", "cyclic", "cyclicp",
-                    "cyclic_p_group_list_p", "cyclic_p_subgroup_list", "direct_product",
-                    "homomorphism_check", "max_ord", "orders", "p_groupp", "permutationp",
-                    "powers", "subgroup_ord_dividing"},
-    "lemmas": {"SplitData", "delete_trivial", "elt_of_ord", "first_prime", "group_power_list",
-               "lcoset", "lift", "quotient", "reduce_cyclic_iso", "split_witness"},
+                    "cyclic_p_group_list_p", "direct_product", "homomorphism_check",
+                    "max_ord", "orders", "p_groupp", "permutationp", "powers"},
+    "lemmas": {"SplitData", "cyclic_p_subgroup_list", "delete_trivial", "elt_of_ord",
+               "first_prime", "group_power_list", "lcoset", "lift", "quotient",
+               "reduce_cyclic_iso", "split_witness", "subgroup_ord_dividing"},
 }
 VERBATIM = {"quotient_split", "recursive_complement_subgroup", "nested_cyclic_p_subgroup_list",
             "chained_cyclic_subgroup_list", "transported_unique_factorization"}

@@ -2,7 +2,7 @@
 type and message, or the verdict, for a call that fails its check."""
 import pytest
 
-from grouptables.abelian import cyclic_subgroup_list, subgroup_ord_dividing
+from grouptables.abelian import cyclic_subgroup_list
 from grouptables.core import (
     FiniteGroup,
     cyclic,
@@ -14,11 +14,12 @@ from grouptables.errors import DomainError
 from grouptables.fileformat import format_element, parse_element, parse_group
 from grouptables.gmaps import GroupMap
 from grouptables.numtheory import check_nat
-from grouptables.pgroup import cyclic_p_subgroup_list, p_groupp
+from grouptables.pgroup import p_groupp
 from grouptables.products import direct_product
 from grouptables.uniqueness import verify_unique_factorization
 
 from lemmas import (
+    cyclic_p_subgroup_list,
     elt_of_ord,
     first_prime,
     group_power,
@@ -29,6 +30,7 @@ from lemmas import (
     products,
     rel_prime_split,
     split_witness,
+    subgroup_ord_dividing,
 )
 from oracles import generated_subgroup
 

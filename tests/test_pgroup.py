@@ -9,7 +9,6 @@ from grouptables.numtheory import least_prime_divisor
 from grouptables.pgroup import (
     cyclic_p_group_list_p,
     cyclic_p_group_p,
-    cyclic_p_subgroup_list,
     cyclicp,
     max_ord,
     p_groupp,
@@ -20,6 +19,7 @@ from grouptables.uniqueness import orders
 from conftest import dp_cyclic_corpus, relabelled
 from lemmas import (
     complement_subgroup,
+    cyclic_p_subgroup_list,
     desired_properties_check,
     elt_of_ord,
     group_intersection,
