@@ -37,7 +37,6 @@ from .pgroup import (
 from .abelian import (
     AbelianFactorization,
     abelian_factorization,
-    cyclic_subgroup_list,
 )
 from .uniqueness import (
     hits_diff,

@@ -1,13 +1,14 @@
 """Factorization of an arbitrary finite abelian group into cyclic p-groups.
 
-By the primary decomposition G = G_p1 x ... x G_pr, each p-primary block
-G_p is the subgroup of elements whose order divides the maximal p-power
-part of |G|.  Each block is read off the input group itself, primes in
-ascending order, as the array of its g-indices in g's roster order, and
-factored with the p-group loop; no block is built as a group.
-Arguments are checked at each public entry; the result is checked once,
-when the explicit isomorphism onto the direct product of the factors is
-verified before it is returned.
+One loop, primes in ascending order: by the primary decomposition
+G = G_p1 x ... x G_pr, each p-primary block G_p is the array of g-indices,
+in g's roster order, whose element order divides the maximal p-power part
+of |G|; the loop splits off <a> for the first a of maximal order in it and
+continues on the complement (`pgroup._complement`) until that is trivial.
+No block or complement is built as a group.  `abelian_factorization` is
+the one checked entry: it checks g once, and the result once, when the
+explicit isomorphism onto the direct product of the factors is verified
+before it is returned.
 """
 from __future__ import annotations
 
@@ -15,28 +16,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import abelianp
+from .core import abelianp, cyclic
 from .errors import DomainError
 from .gmaps import GroupMap, classify, homomorphism_check
 from .numtheory import least_prime_divisor, max_power_dividing
-from .pgroup import _cyclic_factors
+from .pgroup import _complement
 from .products import direct_product, product_list_map
 
 
-def cyclic_subgroup_list(g):
-    """The full list of cyclic p-subgroups factoring an abelian g.
-
-    Blocks come out by ascending prime, each the g-indices whose element
-    order divides the block order; within a block, orders are
-    non-increasing.  The trivial group yields the empty list.
+def _cyclic_subgroup_list(g):
+    """The cyclic p-subgroups of an abelian g whose direct product is g;
+    the caller checks that g is abelian, which makes each block an abelian
+    p-group.  Blocks come out by ascending prime and, within a block, with
+    non-increasing orders; the trivial group yields no factors.  Each
+    factor is built once, from g, listing the powers of its generator.
     """
-    if not abelianp(g):
-        raise DomainError("cyclic-subgroup-list needs an abelian group")
     factors, n = (), g.order
     while n > 1:
         p = least_prime_divisor(n)
         m = max_power_dividing(p, n)
-        factors += _cyclic_factors(p, g, np.flatnonzero(m % g._orders == 0))
+        r = np.flatnonzero(m % g._orders == 0)
+        while len(r) > 1:
+            ia = int(r[np.argmax(g._orders[r])])
+            factors += (cyclic(g.roster[ia], g),)
+            r = _complement(ia, p, g, r)
         n //= m
     return factors
 
@@ -53,7 +56,7 @@ def abelian_factorization(g):
         raise DomainError("abelian-factorization needs an abelian group")
     if g.order <= 1:
         raise DomainError("abelian-factorization needs order > 1")
-    factors = cyclic_subgroup_list(g)
+    factors = _cyclic_subgroup_list(g)
     iso = product_list_map(factors, g)
     dp = direct_product(factors)
     witness = homomorphism_check(iso, dp, g)

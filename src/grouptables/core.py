@@ -147,7 +147,7 @@ def check_group(roster, table):
     for s in a magma generating set; each s is tested when it is picked, and
     right multiplication by those that passed, which are closed under the
     operation, closes them in O(n |generators|) steps.  On failure the table
-    is rescanned in row blocks for the lexicographically first failing triple.
+    is rescanned row by row for the lexicographically first failing triple.
     """
     roster = tuple(roster)
     n = len(roster)
@@ -253,22 +253,17 @@ def _light_generators(t):
 def _first_non_associative(t):
     """The lexicographically first (i, j, k) with (i*j)*k != i*(j*k).
 
-    Rows i are scanned in blocks that double from one row up to about 2^20
-    triples, since a damaged group table tends to fail in its first rows.
-    Row 0 is not scanned: t is checked to have the identity row and column
-    first, and an identity element associates with any two.
+    Rows i are scanned one at a time, comparing the n x n slices for i,
+    since a damaged group table tends to fail in its first rows: the scan
+    stops there and builds no n^3 array.  Row 0 is not scanned: t is
+    checked to have the identity row and column first, and an identity
+    element associates with any two.
     """
-    n = len(t)
-    cap = max(1, (1 << 20) // (n * n))
-    i0, rows = 1, 1
-    while i0 < n:
-        block = t[i0:i0 + rows]
-        bad = np.argwhere(t[block] != block[:, t])
+    for i in range(1, len(t)):
+        bad = np.argwhere(t[t[i]] != t[i][t])
         if len(bad):
-            i, j, k = (int(v) for v in bad[0])
-            return i0 + i, j, k
-        i0 += rows
-        rows = min(2 * rows, cap)
+            j, k = (int(v) for v in bad[0])
+            return i, j, k
     raise AssertionError("the table is associative")
 
 

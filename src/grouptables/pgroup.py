@@ -1,25 +1,24 @@
 """Splitting a non-cyclic abelian p-group into a maximal cyclic subgroup and a
-complement, then iterating to a full cyclic decomposition.
+complement, the step that `abelian._cyclic_subgroup_list` iterates to a full
+cyclic decomposition.
 
-Everything works on the input group's indices.  The p-group to factor is an
+Everything works on the input group's indices.  The p-group to split is an
 array of g-indices in g's roster order (a primary block of an abelian g, or
-all of g); each complement is one too, and the next split works inside it.
-That split works modulo one subgroup C, also an array of g-indices: pick a
-of maximal order, find the first element of order p modulo <a>C, correct it
-by a power of a so that its p-th power lies in C, and grow C by the
-resulting y until <a>C is the whole subgroup; the last C is the complement.
-By the third isomorphism theorem this is the paper's loop through the
-quotients g/C_1, (g/C_1)/(C_2/C_1), ..., without building them, and neither
-a block nor a complement is built as a group.  g is checked once, by
-`abelian.cyclic_subgroup_list`: an abelian g makes each block an abelian
-p-group.  The factor list is checked once, by `abelian_factorization`'s
-isomorphism check.
+a complement inside one), and so is its complement.  The split works modulo
+one subgroup C, also an array of g-indices: pick a of maximal order, find
+the first element of order p modulo <a>C, correct it by a power of a so that
+its p-th power lies in C, and grow C by the resulting y until <a>C is the
+whole subgroup; the last C is the complement.  By the third isomorphism
+theorem this is the paper's loop through the quotients g/C_1,
+(g/C_1)/(C_2/C_1), ..., without building them, and neither a block nor a
+complement is built as a group.  g is checked once, by
+`abelian.abelian_factorization`, which also checks the factor list once, by
+its isomorphism check.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import cyclic
 from .errors import DomainError
 from .numtheory import least_prime_divisor, powerp
 
@@ -91,20 +90,3 @@ def _complement(ia, p, g, r):
     # t is the first key; the last c's key is constant on each coset y^t c
     return c[np.lexsort([key[pos[c]] for key in keys] + [np.arange(len(c)) * p // len(c)])]
 
-
-def _cyclic_factors(p, g, r):
-    """The tuple of cyclic subgroups of g whose direct product is the
-    subgroup of g on the g-indices r, an abelian p-group that r lists in g's
-    roster order; the caller checks that it is one.
-
-    Splits off <a> for the first a of maximal order and continues on its
-    complement, so factor orders come out non-increasing; r = [e] yields no
-    factors.  Every complement is held as the array of its g-indices, and
-    each factor is built once, from g, listing the powers of its generator.
-    """
-    factors = ()
-    while len(r) > 1:
-        ia = int(r[np.argmax(g._orders[r])])
-        factors += (cyclic(g.roster[ia], g),)
-        r = _complement(ia, p, g, r)
-    return factors

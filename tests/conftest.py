@@ -114,10 +114,9 @@ def count_calls(monkeypatch, targets):
 
 @pytest.fixture
 def factorization_calls(monkeypatch):
-    """A Counter of calls to cyclic_subgroup_list, to _cyclic_factors, the
-    p-group loop, and to internal_direct_product_p, which lemmas holds."""
-    return count_calls(monkeypatch, [("abelian", "cyclic_subgroup_list"),
-                                     ("pgroup", "_cyclic_factors"),
+    """A Counter of calls to _cyclic_subgroup_list, the factorization loop,
+    and to internal_direct_product_p, which lemmas holds."""
+    return count_calls(monkeypatch, [("abelian", "_cyclic_subgroup_list"),
                                      ("lemmas", "internal_direct_product_p")])
 
 

@@ -9,13 +9,15 @@ cosets and the lift of their subgroups back to the parent, normality,
 intersections and the trivial subgroup, the first element of a given
 order, the checked split of a p-group with its witness and the complement
 it splits off as a subgroup, the splitting contract of a p-group, the
-checked factorization of a p-group on its own, products of subgroups and
-the counting argument behind their size, internal direct products and
-their appending, n-th power subgroups and the power of a direct product,
-and the uniqueness contraction: its order reduction, and the power lists,
-trivial-factor deletion and transported map of its former loop.  No CLI
-verb, selftest or script calls them, so they live here, beside the tests
-that check them.
+checked factorization of a p-group on its own and of an abelian group
+without the isomorphism check (each its entry checks, then the library's
+one factorization loop, for which a p-group is a single block), products
+of subgroups and the counting argument behind their size, internal direct
+products and their appending, n-th power subgroups and the power of a
+direct product, and the uniqueness contraction: its order reduction, and
+the power lists, trivial-factor deletion and transported map of its former
+loop.  No CLI verb, selftest or script calls them, so they live here,
+beside the tests that check them.
 """
 from __future__ import annotations
 
@@ -27,7 +29,8 @@ from grouptables.core import FiniteGroup, abelianp, cyclic, subgroup
 from grouptables.errors import DomainError
 from grouptables.gmaps import GroupMap
 from grouptables.numtheory import check_nat, least_prime_divisor, primep
-from grouptables.pgroup import _complement, _cyclic_factors, _split, cyclicp, max_ord, p_groupp
+from grouptables.abelian import _cyclic_subgroup_list
+from grouptables.pgroup import _complement, _split, cyclicp, max_ord, p_groupp
 from grouptables.products import direct_product, group_tuples
 
 
@@ -284,12 +287,22 @@ def desired_properties_check(g, g1, g2):
 
 def cyclic_p_subgroup_list(p, g):
     """The tuple of cyclic subgroups whose direct product is the abelian
-    p-group g: g checked as one, then pgroup._cyclic_factors on all of g."""
+    p-group g: g checked as one, then the library's factorization loop,
+    for which g is its own single block."""
     if not p_groupp(g, p):
         raise DomainError("not a p-group for p")
     if not abelianp(g):
         raise DomainError("not abelian")
-    return _cyclic_factors(p, g, np.arange(g.order))
+    return _cyclic_subgroup_list(g)
+
+
+def cyclic_subgroup_list(g):
+    """The tuple of cyclic p-subgroups whose direct product is the abelian
+    g, by ascending prime: g checked abelian, then the library's
+    factorization loop, without the isomorphism check."""
+    if not abelianp(g):
+        raise DomainError("cyclic-subgroup-list needs an abelian group")
+    return _cyclic_subgroup_list(g)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from grouptables.abelian import abelian_factorization, cyclic_subgroup_list
+from grouptables.abelian import abelian_factorization
 from grouptables.core import cyclic_group, subgroup
 from grouptables.errors import DomainError
 from grouptables.gmaps import classify, homomorphism_check
@@ -19,6 +19,7 @@ from grouptables.uniqueness import orders
 from conftest import relabelled
 from lemmas import (
     bezout_decomposition,
+    cyclic_subgroup_list,
     group_intersection,
     internal_direct_product_p,
     rel_prime_split,
@@ -156,19 +157,17 @@ class TestAbelianFactorization:
             abelian_factorization(cyclic_group(1))
 
     def test_each_precondition_checked_once(self, factorization_calls, split_calls):
-        """g is checked abelian once at each public entry, and no block is
-        built as a subgroup: the one subgroup built per factor is the
-        factor.  Z2^4 x Z9, Z2 x Z3 x Z5 and Z8 x Z8 have 2, 3 and 1 prime
-        blocks and 5, 3 and 2 factors."""
-        for g, blocks, factors in ((dp(2, 2, 2, 2, 9), 2, 5), (dp(2, 3, 5), 3, 3),
-                                   (dp(8, 8), 1, 2)):
+        """g is checked abelian once, at the one checked entry, and the one
+        factorization loop runs once; no block is built as a subgroup: the
+        one subgroup built per factor is the factor.
+        Z2^4 x Z9, Z2 x Z3 x Z5 and Z8 x Z8 have 5, 3 and 2 factors."""
+        for g, factors in ((dp(2, 2, 2, 2, 9), 5), (dp(2, 3, 5), 3), (dp(8, 8), 2)):
             factorization_calls.clear()
             split_calls.clear()
             abelian_factorization(g)
-            assert factorization_calls["cyclic_subgroup_list"] == 1
-            assert factorization_calls["_cyclic_factors"] == blocks
+            assert factorization_calls["_cyclic_subgroup_list"] == 1
             assert factorization_calls["internal_direct_product_p"] == 0
-            assert split_calls == {"abelianp": 2, "subgroup": factors}
+            assert split_calls == {"abelianp": 1, "subgroup": factors}
 
     @pytest.mark.parametrize("copies", [2, 1])
     def test_isomorphism_check_is_the_only_guard(self, monkeypatch, z4, copies):
@@ -176,7 +175,7 @@ class TestAbelianFactorization:
         # product; [<2>] is short of the group order
         abelian = importlib.import_module("grouptables.abelian")
         bad = [subgroup(z4, (0, 2))] * copies
-        monkeypatch.setattr(abelian, "cyclic_subgroup_list", lambda g: tuple(bad))
+        monkeypatch.setattr(abelian, "_cyclic_subgroup_list", lambda g: tuple(bad))
         with pytest.raises(RuntimeError, match="factorization map not an isomorphism"):
             abelian_factorization(z4)
         m = product_list_map(bad, z4)

@@ -5,7 +5,9 @@ its VERBS table every verb), from `selftest.run_selftest` and from the
 scripts in SCRIPTS, through every module of src/grouptables/.  Every
 public top-level function and class must be reached, or be kept on purpose
 in KEEP with a reason; helpers that only tests use belong under tests/
-(lemmas.py, oracles.py).  A class counts as reached with all of its methods.
+(lemmas.py, oracles.py).  Every private top-level function must be reached
+too, from those roots or from a KEEP name.  A class counts as reached with
+all of its methods.
 
 The same call graph shows every recursion among the library's top-level
 functions; the few that are left are listed in CYCLES with a reason, so a
@@ -127,6 +129,15 @@ def cycles(root):
 def test_every_public_function_and_class_is_reached_or_kept():
     public, reached = reachability(ROOT)
     assert sorted(public - reached - set(KEEP)) == []
+
+
+def test_every_private_function_is_reached():
+    # a private helper left behind when its caller moved or merged is dead
+    # code that no public name shows; KEEP names keep their helpers
+    edges, _, functions = call_graph(ROOT)
+    _, reached = reachability(ROOT)
+    private = {name for name in functions if name.rsplit(".", 1)[1].startswith("_")}
+    assert sorted(private - reached - _reached(edges, KEEP)) == []
 
 
 def test_selftest_is_never_the_only_caller():

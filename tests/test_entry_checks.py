@@ -2,7 +2,6 @@
 type and message, or the verdict, for a call that fails its check."""
 import pytest
 
-from grouptables.abelian import cyclic_subgroup_list
 from grouptables.core import (
     FiniteGroup,
     cyclic,
@@ -20,6 +19,7 @@ from grouptables.uniqueness import verify_unique_factorization
 
 from lemmas import (
     cyclic_p_subgroup_list,
+    cyclic_subgroup_list,
     elt_of_ord,
     first_prime,
     group_power,

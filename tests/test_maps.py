@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from grouptables.abelian import cyclic_subgroup_list
 from grouptables.core import cyclic_group, subgroup
 from grouptables.errors import DomainError
 from grouptables.gmaps import (
@@ -17,7 +16,7 @@ from grouptables.gmaps import (
 )
 from grouptables.products import direct_product, product_list_map
 
-from lemmas import ordp
+from lemmas import cyclic_subgroup_list, ordp
 from oracles import brute_force_isomorphism, compose_maps
 
 

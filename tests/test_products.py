@@ -247,7 +247,7 @@ def product_list_val(x, g):
 
 
 def test_product_list_map_matches_recursive_fold(corpus_with_subgroups):
-    from grouptables.abelian import cyclic_subgroup_list
+    from lemmas import cyclic_subgroup_list
 
     for g, _ in corpus_with_subgroups:
         lists = [[g], [trivial_subgroup(g), g], [g, trivial_subgroup(g)]]
