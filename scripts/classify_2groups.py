@@ -22,16 +22,17 @@ from grouptables.uniqueness import orders
 
 
 def factor_multisets(n):
-    """All sorted tuples of integers >= 2 whose product is n."""
-    if n == 1:
-        return [()]
-    out = []
-    for d in range(2, n + 1):
-        if n % d == 0:
-            for rest in factor_multisets(n // d):
-                if not rest or d <= rest[0]:
-                    out.append((d,) + rest)
-    return out
+    """All sorted tuples of integers >= 2 whose product is n, in ascending
+    order: each tuple is extended by every divisor of what is left that is
+    no smaller than its last entry."""
+    done, todo = [], [((), n)]
+    while todo:
+        ms, left = todo.pop()
+        if left == 1:
+            done.append(ms)
+        todo += [(ms + (d,), left // d)
+                 for d in range(ms[-1] if ms else 2, left + 1) if left % d == 0]
+    return sorted(done)
 
 
 def main():

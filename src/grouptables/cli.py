@@ -51,48 +51,43 @@ builders: zn <n> | s <n> | dp <builder>...
 NUMERAL_BUILDERS = {"zn": (cyclic_group, "order"), "s": (symmetric_group, "degree")}
 
 
-def _parse_one_builder(tokens, k, depth):
-    """The group built by tokens[k:], inside depth enclosing dp builders."""
-    if k >= len(tokens):
-        raise UsageError("missing builder")
-    t = tokens[k]
-    if t in NUMERAL_BUILDERS:
-        build, what = NUMERAL_BUILDERS[t]
-        if k + 1 >= len(tokens) or not tokens[k + 1].isdecimal():
-            raise UsageError(f"{t} needs a numeric {what}")
-        return build(parse_numerals([tokens[k + 1]])[0]), k + 2
-    if t == "dp":
-        if depth >= MAX_DEPTH:
-            raise ResourceError(f"dp nesting exceeds the {MAX_DEPTH} guard")
-        return direct_product(_parse_dp_factors(tokens, k + 1, depth + 1)), len(tokens)
-    raise UsageError(f"unknown builder {t!r}")
-
-
-def _parse_dp_factors(tokens, k, depth):
-    """The builders from tokens[k] to the end of the list: dp's factors."""
-    subs = []
+def build_factor_list(tokens):
+    """The factor list denoted by a builder expression: dp gives its
+    factors, anything else is a singleton list.  A dp takes every builder
+    after it, so nested dp builders form a chain: the groups are built left
+    to right into the innermost open dp's list, and the products last,
+    innermost first."""
+    tokens = list(tokens)
+    chain = [[]]  # the top level's list, then one factor list per open dp
+    k = 0
     while k < len(tokens):
-        g, k = _parse_one_builder(tokens, k, depth)
-        subs.append(g)
-    if not subs:
-        raise UsageError("dp needs at least one factor")
-    return subs
+        if len(chain) == 1 and chain[0]:
+            raise UsageError(f"trailing builder tokens: {tokens[k:]}")
+        t = tokens[k]
+        if t in NUMERAL_BUILDERS:
+            build, what = NUMERAL_BUILDERS[t]
+            if k + 1 >= len(tokens) or not tokens[k + 1].isdecimal():
+                raise UsageError(f"{t} needs a numeric {what}")
+            chain[-1].append(build(parse_numerals([tokens[k + 1]])[0]))
+            k += 2
+        elif t == "dp":
+            if len(chain) > MAX_DEPTH:
+                raise ResourceError(f"dp nesting exceeds the {MAX_DEPTH} guard")
+            chain.append([])
+            k += 1
+        else:
+            raise UsageError(f"unknown builder {t!r}")
+    if not chain[-1]:
+        raise UsageError("dp needs at least one factor" if len(chain) > 1 else "missing builder")
+    while len(chain) > 2:
+        g = direct_product(chain.pop())
+        chain[-1].append(g)
+    return chain[-1]
 
 
 def build_group(tokens):
-    g, k = _parse_one_builder(list(tokens), 0, 0)
-    if k != len(tokens):
-        raise UsageError(f"trailing builder tokens: {tokens[k:]}")
-    return g
-
-
-def build_factor_list(tokens):
-    """The factor list denoted by a builder expression: dp gives its
-    factors, anything else is a singleton list."""
-    tokens = list(tokens)
-    if tokens and tokens[0] == "dp":
-        return _parse_dp_factors(tokens, 1, 1)
-    return [build_group(tokens)]
+    factors = build_factor_list(tokens)
+    return direct_product(factors) if tokens[0] == "dp" else factors[0]
 
 
 def _read(path):

@@ -9,9 +9,10 @@ in KEEP with a reason; helpers that only tests use belong under tests/
 too, from those roots or from a KEEP name.  A class counts as reached with
 all of its methods.
 
-The same call graph shows every recursion among the library's top-level
-functions; the few that are left are listed in CYCLES with a reason, so a
-recursion that a loop replaced cannot come back unseen.
+The same call graph, with the scripts' own functions added, shows every
+recursion among top-level functions.  The one left is the label printer
+`format_element`, listed in CYCLES with its reason, so a recursion that a
+loop replaced cannot come back unseen.
 """
 import ast
 import inspect
@@ -30,12 +31,10 @@ KEEP = {
 ROOTS = ("cli.main", "selftest.run_selftest")
 SCRIPTS = ("scripts/classify_2groups.py", "scripts/deck_digests.py",
            "scripts/factorization_report.py")
-# the only recursions left, each with its reason
+# the only recursion left, with its reason
 CYCLES = {
     frozenset({"fileformat.format_element"}):
         "prints a nested tuple label, one call per level of nesting",
-    frozenset({"cli._parse_one_builder", "cli._parse_dp_factors"}):
-        "dp builders inside dp builders, bounded by MAX_DEPTH",
 }
 
 
@@ -70,12 +69,14 @@ def _top_level(tree):
             yield sorted(set().union(*map(_names, node.targets))), node
 
 
-def call_graph(root):
-    """(edges, public, functions) for the package under root: each
-    top-level name's qualified name -> the library names its node uses, the
-    public top-level functions and classes, and all top-level functions."""
+def call_graph(root, scripts=()):
+    """(edges, public, functions) for the package under root and the
+    scripts given: each top-level name's qualified name -> the library
+    names its node uses, the public top-level functions and classes, and
+    all top-level functions.  A script's names are qualified by its stem."""
     edges, public, functions = {}, set(), set()
-    for path in sorted((root / "src" / "grouptables").glob("*.py")):
+    library = sorted((root / "src" / "grouptables").glob("*.py"))
+    for path in library + [root / script for script in scripts]:
         module = path.stem
         if module == "__init__":
             continue
@@ -118,9 +119,10 @@ def reachability(root, cut=frozenset()):
 
 
 def cycles(root):
-    """Each set of names that reach one another through the call graph
-    (a self-call is a set of one), for the sets holding a function."""
-    edges, _, functions = call_graph(root)
+    """Each set of names that reach one another through the call graph of
+    the library and SCRIPTS (a self-call is a set of one), for the sets
+    holding a function."""
+    edges, _, functions = call_graph(root, SCRIPTS)
     after = {name: _reached(edges, refs) for name, refs in edges.items()}
     return {frozenset(m for m in after[name] if name in after.get(m, ()))
             for name in functions if name in after[name]}

@@ -4,12 +4,14 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grouptables import cli
-from grouptables.cli import USAGE, build_factor_list, main
-from grouptables.core import MAX_FILE_CHARS
-from grouptables.errors import UsageError
+from grouptables.cli import NUMERAL_BUILDERS, USAGE, main
+from grouptables.core import MAX_DEPTH, MAX_FILE_CHARS
+from grouptables.errors import ResourceError, UsageError
+from grouptables.fileformat import parse_numerals
+from grouptables.products import direct_product
 
 
 def run_cli(*args, cwd=None):
@@ -389,7 +391,7 @@ def test_map_line_guard(extra, guard, capsys, tmp_path):
 
 def _is_builder_list(tokens):
     try:
-        build_factor_list(tokens)
+        cli.build_factor_list(tokens)
     except UsageError:
         return False
     return True
@@ -402,3 +404,83 @@ def _is_builder_list(tokens):
 def test_complete_builder_list_takes_no_extra_token(tokens, extra):
     # unique relies on this to tell a trailing map file from a builder token
     assert not (_is_builder_list(tokens) and _is_builder_list(tokens + [extra]))
+
+
+# The builder parser's former recursive descent, kept verbatim as the
+# reference for the one loop in cli.build_factor_list.
+
+def _parse_one_builder(tokens, k, depth):
+    """The group built by tokens[k:], inside depth enclosing dp builders."""
+    if k >= len(tokens):
+        raise UsageError("missing builder")
+    t = tokens[k]
+    if t in NUMERAL_BUILDERS:
+        build, what = NUMERAL_BUILDERS[t]
+        if k + 1 >= len(tokens) or not tokens[k + 1].isdecimal():
+            raise UsageError(f"{t} needs a numeric {what}")
+        return build(parse_numerals([tokens[k + 1]])[0]), k + 2
+    if t == "dp":
+        if depth >= MAX_DEPTH:
+            raise ResourceError(f"dp nesting exceeds the {MAX_DEPTH} guard")
+        return direct_product(_parse_dp_factors(tokens, k + 1, depth + 1)), len(tokens)
+    raise UsageError(f"unknown builder {t!r}")
+
+
+def _parse_dp_factors(tokens, k, depth):
+    """The builders from tokens[k] to the end of the list: dp's factors."""
+    subs = []
+    while k < len(tokens):
+        g, k = _parse_one_builder(tokens, k, depth)
+        subs.append(g)
+    if not subs:
+        raise UsageError("dp needs at least one factor")
+    return subs
+
+
+def build_group(tokens):
+    g, k = _parse_one_builder(list(tokens), 0, 0)
+    if k != len(tokens):
+        raise UsageError(f"trailing builder tokens: {tokens[k:]}")
+    return g
+
+
+def build_factor_list(tokens):
+    """The factor list denoted by a builder expression: dp gives its
+    factors, anything else is a singleton list."""
+    tokens = list(tokens)
+    if tokens and tokens[0] == "dp":
+        return _parse_dp_factors(tokens, 1, 1)
+    return [build_group(tokens)]
+
+
+BUILDER_TOKENS = ["zn", "s", "dp", "0", "1", "2", "3", "4", "6", "257", "1" * 5000,
+                  "٣", "-1", "x"]
+
+
+def _outcome(build, tokens):
+    """The groups built, as (roster, table bytes), or the exception raised."""
+    try:
+        built = build(tokens)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(g.roster, g.table.tobytes()) for g in (built if isinstance(built, list) else [built])]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    # single tokens and builder names with a token after them, so that
+    # most lists hold builders: at most 12 tokens
+    st.lists(st.one_of(st.sampled_from(BUILDER_TOKENS).map(lambda t: [t]),
+                       st.tuples(st.sampled_from(["zn", "s"]),
+                                 st.sampled_from(BUILDER_TOKENS)).map(list)),
+             max_size=6).map(lambda parts: sum(parts, [])),
+    # chains around the depth guard
+    st.builds(lambda depth, rest: ["dp"] * depth + ["zn", "2"] + rest,
+              st.integers(28, 40), st.lists(st.sampled_from(BUILDER_TOKENS), max_size=2)),
+))
+@example(["dp"] * MAX_DEPTH + ["zn", "2"])
+@example(["dp"] * (MAX_DEPTH + 1) + ["zn", "0"])
+@example(["zn", "2", "dp", "zn", "3"])
+def test_builder_loop_matches_the_recursive_parser(tokens):
+    assert _outcome(cli.build_factor_list, tokens) == _outcome(build_factor_list, tokens)
+    assert _outcome(cli.build_group, tokens) == _outcome(build_group, tokens)
