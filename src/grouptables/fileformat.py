@@ -11,12 +11,14 @@ converted with int() when all numerals, else read by the label loop on its
 span of the text up to an (n + 1)-th label at most, then its table lines in
 one pass over their bytes.  The pass declines a file that is not ASCII, is
 longer than 32 (n + 1)^2 characters, has a roster line that does not read
-as n labels or holds a numeral of over 18 digits, holds a byte other than
-digits, blanks and line breaks among its table lines, or has a row that is
-not n numerals of at most 18 digits, each below n.  Such a file is read
-line by line from the spans of its non-blank lines, its roster by the same
-label loop, which reads every label past the n-th only to count it, the
-table row by row into tuples, and that reading alone reports errors.
+as n labels or holds a numeral longer than int() converts, holds a byte
+other than digits, blanks and line breaks among its table lines, or has a
+row that is not n numerals of at most len(str(n - 1)) digits, each below
+n.  Such a file is read line by line from the spans of its non-blank
+lines, its roster by the same label loop, which reads every label past the
+n-th only to count it, the table row by row into tuples, and that reading
+alone reports errors; a file with zero-padded numerals is read so to the
+same roster and table.
 
 Map file: one `x -> y` line per pair, with the same label syntax, split at
 a bare `->` between two labels or else the first `->`; at most MAX_ORDER pairs.
@@ -106,48 +108,37 @@ def print_group(g):
     return "\n".join(lines) + "\n"
 
 
-_MAX_DIGITS = 18  # the longest numeral a plain file holds; it ends the digit loop
-
-# the header of a plain file and the blanks up to its roster line
-_PLAIN_HEAD = re.compile(r"[ \t\r\n]*group[ \t]+([0-9]{1,18})[ \t]*[\r\n][ \t\r\n]*")
-# characters per numeral in a plain file: room for long numerals and blanks,
+# the header of a plain file, the blanks up to its roster line, and that
+# line up to the first break an ASCII text can hold
+_PLAIN_HEAD = re.compile(
+    r"[ \t\r\n]*group[ \t]+([0-9]{1,18})[ \t]*[\r\n][ \t\r\n]*([^\n\r\v\f\x1c-\x1e]*)")
+# characters per numeral in a plain file: room for long labels and blanks,
 # while the pass's byte arrays stay within a small multiple of n^2
 _PLAIN_CHARS = 32
-# the line breaks of str.splitlines other than "\n"; the ASCII text that
-# _plain_group searches can hold only the first six
+# the line breaks of str.splitlines other than "\n"
 _BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE_END = re.compile(f"[\n{_BREAKS}]|\\Z")
-# an all-numeral roster line, once _LINE_END has found its end
-_NUMERALS = re.compile(r"[0-9 \t]*")
 
 
 def _numeral_values(digits, ends, count, n):
     """The int16 values of the numerals of `digits` (bytes less "0", after
-    _MAX_DIGITS blanks) whose last digits lie at the positions `ends` past
-    the blanks and which hold `count` digits in all, or None if one has
-    more than _MAX_DIGITS digits or is not below n.
+    len(str(n - 1)) blanks) whose last digits lie at the positions `ends`
+    past the blanks and which hold `count` digits in all, or None if one
+    has more than len(str(n - 1)) digits or is not below n.
 
     The k-th digit from the end of every numeral is read at once, from the
-    view k bytes further back, as 0 once a numeral has run out of digits,
-    until all `count` have been read.  The first len(str(n - 1)) places are
-    summed into the values; at any later place a numeral still running must
-    have a leading zero, as any other digit makes it at least n.
+    view k bytes further back, as 0 once a numeral has run out of digits;
+    digits left over after the last place belong to a longer numeral.
     """
     width = len(str(n - 1))
     values = np.zeros(len(ends), dtype=np.int16)
     alive = np.ones(len(ends), dtype=bool)
-    for place in range(_MAX_DIGITS):
-        digit = digits[_MAX_DIGITS - place:][ends]
+    for place in range(width):
+        digit = digits[width - place:][ends]
         alive &= digit < 10
         digit *= alive
-        if place < width:
-            values += np.multiply(digit, 10 ** place, dtype=np.int16)  # no uint8 wrap
-        elif digit.any():
-            return None
+        values += np.multiply(digit, 10 ** place, dtype=np.int16)  # no uint8 wrap
         count -= np.count_nonzero(alive)
-        if not count:
-            return values if values.max() < n else None
-    return None
+    return values if not count and values.max() < n else None
 
 
 def _plain_group(text):
@@ -155,14 +146,15 @@ def _plain_group(text):
     where the file is not plain.
 
     A plain file is ASCII and at most _PLAIN_CHARS (n + 1)^2 characters
-    long; its roster line holds n labels, numerals of at most 18 digits if
+    long; its roster line holds n labels, numerals that int() converts if
     all are numerals, and its n table lines only digits, blanks (" ", "\t")
-    and breaks ("\r", "\n"), n numerals below n on each.  A roster that is
-    not all numerals is read by the label loop, which stops at an (n + 1)-th
-    label, so only the line reader reads an over-long one.  With tabs made
-    spaces and "\r" made "\n", the table's bytes are counted as digits,
-    breaks and spaces and its digit runs found once; row r, the numerals r n
-    to r n + n - 1, must start and end on one line, past that of row r - 1.
+    and breaks ("\r", "\n"), n numerals below n of at most len(str(n - 1))
+    digits on each.  A roster that is not all numerals is read by the label
+    loop, which stops at an (n + 1)-th label, so only the line reader reads
+    an over-long one.  With tabs made spaces and "\r" made "\n", the
+    table's bytes are counted as digits, breaks and spaces and its digit
+    runs found once; row r, the numerals r n to r n + n - 1, must start and
+    end on one line, past that of row r - 1.
     """
     head = _PLAIN_HEAD.match(text) if text.isascii() else None
     if head is None:
@@ -170,29 +162,25 @@ def _plain_group(text):
     n = int(head[1])
     if not 0 < n <= MAX_ORDER or len(text) > _PLAIN_CHARS * (n + 1) ** 2:
         return None
-    start = head.end()
-    roster_end = _LINE_END.search(text, start).start()
-    roster = _NUMERALS.fullmatch(text, start, roster_end)
-    if roster:
-        numerals = roster[0].split()
-        if len(numerals) != n or max(map(len, numerals)) > _MAX_DIGITS:
-            return None
-        labels = list(map(int, numerals))
-    else:
-        try:
-            labels = list(islice(_top_level_elements(text, start, roster_end), n + 1))
-        except (DomainError, ResourceError):
-            return None
-        if len(labels) != n:
-            return None
-    # the table lines between blanks, so a digit is read _MAX_DIGITS places
-    # back from any numeral's end and a numeral never ends the bytes
-    data = b" " * _MAX_DIGITS + text[roster_end:].encode("ascii") + b" "
+    numerals = head[2].split()
+    try:  # int() past its digit limit raises ValueError, as does a bad label
+        if all(map(str.isdecimal, numerals)):
+            labels = list(map(int, numerals[:n + 1]))
+        else:
+            labels = list(islice(_top_level_elements(text, *head.span(2)), n + 1))
+    except ValueError:
+        return None
+    if len(labels) != n:
+        return None
+    # the table lines between blanks, so a digit is read width places back
+    # from any numeral's end and a numeral never ends the bytes
+    width = len(str(n - 1))
+    data = b" " * width + text[head.end():].encode("ascii") + b" "
     data = data.replace(b"\t", b" ").replace(b"\r", b"\n")  # no copy without them
     raw = np.frombuffer(data, dtype=np.uint8)
     digits = raw - ord("0")  # uint8: the other bytes wrap past 9
-    raw = raw[_MAX_DIGITS:]
-    is_digit = digits[_MAX_DIGITS:] < 10
+    raw = raw[width:]
+    is_digit = digits[width:] < 10
     breaks = np.flatnonzero(raw == ord("\n"))
     count = np.count_nonzero(is_digit)
     if count + len(breaks) + np.count_nonzero(raw == ord(" ")) != len(raw):

@@ -5,9 +5,9 @@ its VERBS table every verb), from `selftest.run_selftest` and from the
 scripts in SCRIPTS, through every module of src/grouptables/.  Every
 public top-level function and class must be reached, or be kept on purpose
 in KEEP with a reason; helpers that only tests use belong under tests/
-(lemmas.py, oracles.py).  Every private top-level function must be reached
-too, from those roots or from a KEEP name.  A class counts as reached with
-all of its methods.
+(lemmas.py, oracles.py).  Every private top-level function and assignment
+must be reached too, from those roots or from a KEEP name.  A class counts
+as reached with all of its methods.
 
 The same call graph, with the scripts' own functions added, shows every
 recursion among top-level functions.  The one left is the label printer
@@ -15,6 +15,7 @@ recursion among top-level functions.  The one left is the label printer
 loop replaced cannot come back unseen.
 """
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -134,11 +135,12 @@ def test_every_public_function_and_class_is_reached_or_kept():
 
 
 def test_every_private_function_is_reached():
-    # a private helper left behind when its caller moved or merged is dead
-    # code that no public name shows; KEEP names keep their helpers
-    edges, _, functions = call_graph(ROOT)
+    # a private helper or constant left behind when its reader moved or
+    # merged is dead code that no public name shows; KEEP names keep their
+    # helpers.  A constant is reached through the names its readers use
+    edges, _, _ = call_graph(ROOT)
     _, reached = reachability(ROOT)
-    private = {name for name in functions if name.rsplit(".", 1)[1].startswith("_")}
+    private = {name for name in edges if name.rsplit(".", 1)[1].startswith("_")}
     assert sorted(private - reached - _reached(edges, KEEP)) == []
 
 
@@ -157,6 +159,20 @@ def test_keep_lists_only_unreached_names():
 
 def test_only_the_listed_recursions_remain():
     assert cycles(ROOT) == set(CYCLES)
+
+
+def test_the_benchmark_tracer_finds_what_it_patches():
+    # perfbench/tracer.py's Tracer.install looks each module of its MODULES
+    # up in sys.modules and patches core.FiniteGroup.op, so a library change
+    # that removes one breaks every traced benchmark run; the file is read,
+    # not imported
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    [modules] = [ast.literal_eval(node.value) for names, node in _top_level(tree)
+                 if names == ["MODULES"]]
+    assert modules
+    for name in modules:
+        importlib.import_module(f"grouptables.{name}")
+    assert inspect.isfunction(importlib.import_module("grouptables.core").FiniteGroup.op)
 
 
 def test_products_is_a_module():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grouptables import cli
-from grouptables.core import MAX_DEPTH, cyclic, cyclic_group, symmetric_group
+from grouptables.core import MAX_DEPTH, abelianp, cyclic, cyclic_group, symmetric_group
 from grouptables.errors import DomainError, ResourceError
 from grouptables.fileformat import (
     _TOKENS,
@@ -122,6 +122,9 @@ def hand_cases():
         "plus-one": with_cells(z6, {(2, 3): "+1"}),
         "hash": with_cells(z6, {(2, 3): "#"}),
         "exponent": with_cells(z6, {(2, 3): "1e3"}),
+        # z12's numerals have at most 2 digits, so one more declines the pass
+        "entry-width-digits-leading-zero": with_cells(z12, {(4, 7): "05"}),
+        "entry-one-digit-too-wide": with_cells(z12, {(4, 7): "005"}),
         "entry-equal-to-n": with_cells(s3, {(2, 4): "6"}),
         "entry-one-below-n": with_cells(s3, {(2, 4): "5"}),
         # 300 wraps to 44 in uint8, so it must be summed in int16
@@ -152,7 +155,8 @@ def with_head(g, head=None, roster=None, gap="\n", extra=(), eol="\n"):
 
 
 def head_and_roster_cases():
-    z6, z2xz2 = BASES["z6"], BASES["z2xz2"]
+    z6, z12, z2xz2 = BASES["z6"], BASES["z12"], BASES["z2xz2"]
+    z12_roster = " ".join(map(str, range(11))) + " "
     return {
         "roster-leading-zeros": with_head(z6, roster="0 01 002 0003 4 05"),
         "roster-leading-zeros-duplicate": with_head(z6, roster="0 1 2 3 4 01"),
@@ -160,6 +164,9 @@ def head_and_roster_cases():
         "roster-18-nines": with_head(z6, roster="0 1 2 3 4 " + "9" * 18),
         "roster-19-digits": with_head(z6, roster="0 1 2 3 4 " + "0" * 18 + "5"),
         "roster-19-nines": with_head(z6, roster="0 1 2 3 4 " + "9" * 19),
+        # int() converts at most 4,300 digits
+        "roster-4300-digits": with_head(z12, roster=z12_roster + "9" * 4300),
+        "roster-4301-digits": with_head(z12, roster=z12_roster + "9" * 4301),
         "roster-5000-digits": with_head(z6, roster="0 1 2 3 4 " + "9" * 5000),
         "roster-5000-digits-leading-zeros": with_head(z6, roster="0 1 2 3 4 " + "0" * 4999 + "5"),
         "tuple-labels-plain-table": render(z2xz2, cells(z2xz2), sep="\t", eol="\r\n"),
@@ -192,10 +199,11 @@ def test_hand_cases_match_rows(text, tmp_path):
 
 PLAIN_CASES = {
     "bare-cr-before-roster", "bare-cr-everywhere", "blank-lines-before-roster",
-    "crlf-and-blank-lines", "double-blanks", "entry-one-below-n", "group-0256", "group-06",
-    "header-blanks", "leading-blanks", "leading-zeros", "leading-zeros-18-digits",
-    "one-blank-line-more", "print-s3", "print-z1", "print-z12", "print-z2", "print-z2xz2",
-    "print-z4/<2>", "print-z6", "roster-18-digits", "roster-18-nines", "roster-leading-zeros",
+    "crlf-and-blank-lines", "double-blanks", "entry-one-below-n",
+    "entry-width-digits-leading-zero", "group-0256", "group-06", "header-blanks",
+    "leading-blanks", "one-blank-line-more", "print-s3", "print-z1", "print-z12", "print-z2",
+    "print-z2xz2", "print-z4/<2>", "print-z6", "roster-18-digits", "roster-18-nines",
+    "roster-19-digits", "roster-19-nines", "roster-4300-digits", "roster-leading-zeros",
     "roster-leading-zeros-duplicate", "roster-unit-separator", "symbol-labels-plain-table",
     "tabs", "trailing-blanks", "tuple-labels-plain-table",
 }
@@ -203,8 +211,50 @@ PLAIN_CASES = {
 
 def test_plain_path_accepts_the_same_hand_cases():
     # the outcome tests pass whichever reader a file takes, so the set of
-    # files the byte pass reads is pinned here: 29 of the hand cases
+    # files the byte pass reads is pinned here: 31 of the hand cases
     assert {k for k, t in HAND_CASES.items() if _plain_group(t) is not None} == PLAIN_CASES
+
+
+def test_roster_past_the_int_limit_raises_in_both_readers():
+    text = HAND_CASES["roster-4301-digits"]
+    assert _plain_group(text) is None
+    want = (ResourceError, "a numeral exceeds the integer conversion limit")
+    assert outcome(parse_group, text) == outcome(parse_group_rows, text) == want
+
+
+def zero_padded(text, rng):
+    """text with every table numeral padded with zeros to a seeded width
+    of len(str(n - 1)) + 1 to 18 digits."""
+    head, roster, *rows = text.splitlines()
+    width = len(str(int(head.split()[1]) - 1))
+    rows = [" ".join(t.zfill(rng.randint(width + 1, 18)) for t in row.split()) for row in rows]
+    return "\n".join([head, roster, *rows]) + "\n"
+
+
+def cli_output(verb, path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([verb, str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+TWINS = {**BASES, "z4xz64-relabelled": relabelled(
+    direct_product([cyclic_group(4), cyclic_group(64)]), random.Random(464))}
+
+
+@pytest.mark.parametrize("name", TWINS)
+def test_zero_padded_twins_print_the_same_bytes(name, tmp_path):
+    # the byte pass declines the padded file, which the line reader reads
+    # to the same roster and table, so every verb prints the same bytes
+    g, path = TWINS[name], tmp_path / "g.grp"
+    text = print_group(g)
+    padded = zero_padded(text, random.Random(name))
+    assert _plain_group(text) is not None and _plain_group(padded) is None
+    for verb in ["validate", "info"] + ["factor"] * abelianp(g):
+        path.write_text(text)
+        want = cli_output(verb, path)
+        path.write_text(padded)
+        assert cli_output(verb, path) == want
 
 
 def test_order_256_four_digit_roster_is_plain():
@@ -300,11 +350,14 @@ def test_damaged_texts_match_rows(tmp_path_factory, text):
 @given(damaged_texts(heads=False))
 def test_plain_tables_match_fromstring(text):
     # the byte pass against the former joined-rows parse, which np.fromstring
-    # finished: the same tables, and the same files left to the line reader
+    # finished: the byte pass reads exactly those of its tables that hold no
+    # numeral longer than len(str(n - 1)) digits, to the same table
     n = int(text.split()[1])
-    want = fromstring_index_array([ln for ln in text.splitlines() if ln.strip()][2:], n)
+    rows = [ln for ln in text.splitlines() if ln.strip()][2:]
+    want = fromstring_index_array(rows, n)
+    wide = any(len(t) > len(str(n - 1)) for row in rows for t in row.split())
     got = _plain_group(text)
-    assert (got is None) == (want is None)
+    assert (got is None) == (want is None or wide)
     if got is not None:
         assert got[1].tolist() == want.tolist()
         assert got[0] == outcome(parse_group_rows, text)[0]
