@@ -18,9 +18,6 @@ from .gmaps import (
     classify,
     homomorphism_check,
     identity_map,
-    image,
-    inv_isomorphism,
-    kernel,
     map_from_function,
 )
 from .products import (

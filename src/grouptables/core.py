@@ -94,9 +94,6 @@ class FiniteGroup:
     def __contains__(self, x):
         return x in self._pos
 
-    def __iter__(self):
-        return iter(self.roster)
-
     def index(self, x):
         try:
             return self._pos[x]

@@ -3,7 +3,11 @@
 Group file: line 1 is `group <n>`; line 2 holds the n element labels
 (identity first); the next n lines are the table rows of zero-based roster
 indices.  Structured elements print as parenthesized tuples, e.g. `(0 1)`,
-so label tokenization is paren-aware.  parse(print(g)) round-trips exactly.
+so label tokenization is paren-aware.  A label prints only if it reads
+back as itself: ints (numpy integers too, bools not), tuples of printable
+labels, and strings that are one token, without blanks or parens, and no
+numeral (an optional "-", then decimal digits); any other label is a
+DomainError.  So parse(print(g)) round-trips exactly.
 
 A plain file is read into an n x n int16 array of indices, which
 check_group types by its dtype: its roster line on its own, split and
@@ -35,15 +39,20 @@ from .errors import DomainError, ResourceError
 from .gmaps import GroupMap
 
 
+# \s matches exactly the characters str.isspace accepts
+_TOKENS = re.compile(r"[()]|[^\s()]+")
+
+
 def format_element(x):
     if isinstance(x, tuple):
         return "(" + " ".join(format_element(c) for c in x) + ")"
-    if isinstance(x, int):
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return str(x)
-    s = str(x)
-    if not s or any(ch in s for ch in "() \t\n"):
-        raise DomainError(f"unprintable symbol label: {x!r}")
-    return s
+    # one token other than a paren, and no numeral by the label loop's rule
+    if (isinstance(x, str) and x not in "()" and _TOKENS.fullmatch(x)
+            and not x.removeprefix("-").isdecimal()):
+        return x
+    raise DomainError(f"unprintable symbol label: {x!r}")
 
 
 def parse_numerals(tokens):
@@ -53,10 +62,6 @@ def parse_numerals(tokens):
         return tuple(map(int, tokens))
     except ValueError:
         raise ResourceError("a numeral exceeds the integer conversion limit") from None
-
-
-# \s matches exactly the characters str.isspace accepts
-_TOKENS = re.compile(r"[()]|[^\s()]+")
 
 
 def _top_level_elements(text, start, end):

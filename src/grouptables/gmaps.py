@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import subgroup
 from .errors import DomainError
 
 
@@ -22,10 +21,6 @@ class GroupMap:
         if len(table) != len(self.pairs):
             raise DomainError("map keys must be pairwise distinct")
         object.__setattr__(self, "_table", table)
-
-    @property
-    def domain(self):
-        return tuple(k for k, _ in self.pairs)
 
     def apply(self, x):
         try:
@@ -90,26 +85,6 @@ def homomorphism_check(m, g, h):
     return None
 
 
-def _require_hom(m, g, h):
-    w = homomorphism_check(m, g, h)
-    if w is not None:
-        raise DomainError(f"not a homomorphism: {w}")
-
-
-def image(m, g, h):
-    """The image subgroup of h, with its roster ordered with respect to h."""
-    _require_hom(m, g, h)
-    return subgroup(h, sorted({m.apply(x) for x in g.roster}, key=h.index))
-
-
-def kernel(m, g, h):
-    """The kernel subgroup of g: elements sent to h's identity, in g order."""
-    _require_hom(m, g, h)
-    e = h.identity
-    roster = tuple(x for x in g.roster if m.apply(x) == e)
-    return subgroup(g, roster)
-
-
 @dataclass(frozen=True)
 class HomClass:
     epimorphism: bool
@@ -132,12 +107,3 @@ def classify(m, g, h):
     epi = set(images) == set(h.roster)
     mono = images.count(h.identity) == 1
     return HomClass(epimorphism=epi, monomorphism=mono)
-
-
-def inv_isomorphism(m, g, h):
-    """The inverse map of an isomorphism, on h's roster."""
-    _require_hom(m, g, h)
-    if not classify(m, g, h).isomorphism:
-        raise DomainError("inv-isomorphism requires an isomorphism")
-    preimage = {m.apply(x): x for x in g.roster}
-    return map_from_function(h.roster, preimage.__getitem__)

@@ -13,8 +13,9 @@ checked factorization of a p-group on its own and of an abelian group
 without the isomorphism check (each its entry checks, then the library's
 one factorization loop, for which a p-group is a single block), products
 of subgroups and the counting argument behind their size, internal direct
-products and their appending, n-th power subgroups and the power of a
-direct product, and the uniqueness contraction: its order reduction, and
+products and their appending, the image and kernel subgroups of a
+homomorphism and the inverse of an isomorphism, n-th power subgroups and
+the power of a direct product, and the uniqueness contraction: its order reduction, and
 the power lists, trivial-factor deletion and transported map of its former
 loop.  No CLI verb, selftest or script calls them, so they live here,
 beside the tests that check them.
@@ -27,7 +28,7 @@ import numpy as np
 
 from grouptables.core import FiniteGroup, abelianp, cyclic, subgroup
 from grouptables.errors import DomainError
-from grouptables.gmaps import GroupMap
+from grouptables.gmaps import GroupMap, classify, homomorphism_check, map_from_function
 from grouptables.numtheory import check_nat, least_prime_divisor, primep
 from grouptables.abelian import _cyclic_subgroup_list
 from grouptables.pgroup import _complement, _split, cyclicp, max_ord, p_groupp
@@ -402,6 +403,39 @@ def internal_direct_product_append(l, m, g):
     if not internal_direct_product_p(combined, g):
         raise DomainError("append is not an internal direct product")
     return combined
+
+
+# ---------------------------------------------------------------------------
+# gmaps: the image and kernel subgroups, the inverse isomorphism
+
+
+def _require_hom(m, g, h):
+    w = homomorphism_check(m, g, h)
+    if w is not None:
+        raise DomainError(f"not a homomorphism: {w}")
+
+
+def image(m, g, h):
+    """The image subgroup of h, with its roster ordered with respect to h."""
+    _require_hom(m, g, h)
+    return subgroup(h, sorted({m.apply(x) for x in g.roster}, key=h.index))
+
+
+def kernel(m, g, h):
+    """The kernel subgroup of g: elements sent to h's identity, in g order."""
+    _require_hom(m, g, h)
+    e = h.identity
+    roster = tuple(x for x in g.roster if m.apply(x) == e)
+    return subgroup(g, roster)
+
+
+def inv_isomorphism(m, g, h):
+    """The inverse map of an isomorphism, on h's roster."""
+    _require_hom(m, g, h)
+    if not classify(m, g, h).isomorphism:
+        raise DomainError("inv-isomorphism requires an isomorphism")
+    preimage = {m.apply(x): x for x in g.roster}
+    return map_from_function(h.roster, preimage.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from grouptables.core import (
     cyclic_group,
     symmetric_group,
 )
-from grouptables.gmaps import classify, homomorphism_check, image, kernel, map_from_function
+from grouptables.gmaps import classify, homomorphism_check, map_from_function
 from grouptables.numtheory import least_prime_divisor, primep
 from grouptables.pgroup import cyclic_p_group_list_p
 from grouptables.products import direct_product, product_orders
@@ -35,7 +35,9 @@ from lemmas import (
     group_intersection,
     group_power,
     group_power_list,
+    image,
     internal_direct_product_p,
+    kernel,
     lift,
     lift_cosets,
     normalp,

@@ -6,8 +6,14 @@ scripts in SCRIPTS, through every module of src/grouptables/.  Every
 public top-level function and class must be reached, or be kept on purpose
 in KEEP with a reason; helpers that only tests use belong under tests/
 (lemmas.py, oracles.py).  Every private top-level function and assignment
-must be reached too, from those roots or from a KEEP name.  A class counts
-as reached with all of its methods.
+must be reached too, from those roots or from a KEEP name.
+
+A reached class does not carry its members with it.  Every method and
+property of a library class that is not a dunder must be read as an
+attribute (`.name`) by reached code, by a KEEP name or by a member read
+so, or be kept on purpose in MEMBER_KEEP with a reason; a class's dunders
+count as read wherever the class is reached.  Attributes are matched by
+name alone, so a member whose name any reached code reads counts as read.
 
 The same call graph, with the scripts' own functions added, shows every
 recursion among top-level functions.  The one left is the label printer
@@ -24,10 +30,10 @@ import grouptables
 ROOT = Path(__file__).resolve().parent.parent
 
 KEEP = {
-    "gmaps.image": "the image subgroup: the paper's homomorphism vocabulary",
-    "gmaps.kernel": "the kernel subgroup: the paper's homomorphism vocabulary",
-    "gmaps.inv_isomorphism": "the inverse isomorphism: the paper's homomorphism vocabulary",
     "fileformat.print_map": "the map-file writer, the inverse of parse_map",
+}
+MEMBER_KEEP = {
+    "core.FiniteGroup.inv": "x^-1, called by tests/oracles.py's verbatim quotient_split",
 }
 ROOTS = ("cli.main", "selftest.run_selftest")
 SCRIPTS = ("scripts/classify_2groups.py", "scripts/deck_digests.py",
@@ -119,6 +125,47 @@ def reachability(root, cut=frozenset()):
     return public, _reached(edges, todo, cut)
 
 
+def _attributes(nodes):
+    return {n.attr for node in nodes for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def member_reachability(root, keep=()):
+    """(each non-dunder method and property of a library class by its
+    qualified name module.Class.name, those read from ROOTS, SCRIPTS, KEEP
+    and the members in keep).
+
+    The code read is every reached or KEEP top-level name, with a class's
+    members left out but its dunders kept, and every script; a member is
+    read once its name is read as an attribute there or in a member read
+    before it.
+    """
+    edges, _, _ = call_graph(root)
+    _, reached = reachability(root)
+    reached |= _reached(edges, KEEP)
+    members, code = {}, [ast.parse((root / script).read_text()) for script in SCRIPTS]
+    for path in sorted((root / "src" / "grouptables").glob("*.py")):
+        for names, node in _top_level(ast.parse(path.read_text())):
+            live = any(f"{path.stem}.{name}" in reached for name in names)
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    name = getattr(stmt, "name", "")
+                    dunder = name.startswith("__") and name.endswith("__")
+                    if isinstance(stmt, ast.FunctionDef) and not dunder:
+                        members[f"{path.stem}.{node.name}.{name}"] = stmt
+                    elif live:
+                        code.append(stmt)
+                if live:
+                    code += node.decorator_list + node.bases
+            elif live:
+                code.append(node)
+    read, found = _attributes(code), set()
+    while new := {q for q in members.keys() - found
+                  if q.rsplit(".", 1)[1] in read or q in keep}:
+        found |= new
+        read |= _attributes(members[q] for q in new)
+    return set(members), found
+
+
 def cycles(root):
     """Each set of names that reach one another through the call graph of
     the library and SCRIPTS (a self-call is a set of one), for the sets
@@ -149,6 +196,17 @@ def test_selftest_is_never_the_only_caller():
     # reaches is reached without it
     public, reached = reachability(ROOT, cut={"selftest.run_selftest"})
     assert sorted(public - reached - set(KEEP) - {"selftest.run_selftest"}) == []
+
+
+def test_every_class_member_is_read_or_kept():
+    members, read = member_reachability(ROOT, MEMBER_KEEP)
+    assert sorted(members - read) == []
+
+
+def test_member_keep_lists_only_unread_members():
+    members, read = member_reachability(ROOT)
+    assert set(MEMBER_KEEP) <= members
+    assert set(MEMBER_KEEP) & read == set()
 
 
 def test_keep_lists_only_unreached_names():

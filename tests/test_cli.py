@@ -42,8 +42,12 @@ def test_unknown_verb():
     ["info"],
     ["cayley"],
     ["selftest", "x"],
+    ["unique", "zn", "2", "zn", "2"],
+    ["unique", "--", "zn", "2"],
+    ["unique", "zn", "2", "--"],
 ], ids=["iso-two-files", "validate-none", "validate-two", "factor-none", "info-none",
-        "cayley-none", "selftest-argument"])
+        "cayley-none", "selftest-argument", "unique-no-separator", "unique-empty-left",
+        "unique-empty-right"])
 def test_wrong_argument_count_is_usage_error(args, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "g.grp").write_text("group 2\n0 1\n0 1\n1 0\n")
@@ -152,6 +156,19 @@ def test_unique_rejects_a_pair_outside_the_domain(tmp_path):
     )
     assert code == 1
     assert err == "error: map is not a homomorphism: domain failure at ((2, 4),)\n"
+
+
+def test_unique_false_verdict_prints_its_witness(capsys, tmp_path, monkeypatch):
+    # no isomorphism of cyclic p-group products gives a false verdict, so
+    # the check is stubbed to reach the branch that prints the witness
+    monkeypatch.setattr(cli, "verify_unique_factorization", lambda l, m, iso: False)
+    f = tmp_path / "m.map"
+    f.write_text("".join(f"({a} {b} {c}) -> ({a + 2 * b} {c})\n"
+                         for a in range(2) for b in range(2) for c in range(2)))
+    argv = ["unique", "dp", "zn", "2", "zn", "2", "zn", "2", "--", "dp", "zn", "4", "zn", "2"]
+    assert main([*argv, str(f)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "orders L: [2, 2, 2]", "orders M: [4, 2]", "permutation: false", "witness: 2"]
 
 
 def test_unique_missing_map_is_usage_error():

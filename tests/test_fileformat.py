@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grouptables.core import cyclic, cyclic_group, symmetric_group
+from grouptables.core import FiniteGroup, cyclic, cyclic_group, symmetric_group
 from grouptables.errors import DomainError, ResourceError
 from grouptables.fileformat import (
     format_element,
@@ -104,6 +105,36 @@ class TestGroupFiles:
             parse_group("group 257\n")
         with pytest.raises(DomainError):
             parse_group("group 256\n")
+
+
+# blanks of every kind, parens, signs and digits str.isdecimal accepts
+ODD_CHARS = st.sampled_from("()-+09\u0663\u00b2 \t\n\x0b\x1f\xa0\u2028ax")
+LABELS = st.recursive(
+    st.integers() | st.booleans() | st.floats()
+    | st.text(ODD_CHARS | st.characters(), max_size=5),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+def typed(x):
+    """x with each atom beside its type, so 1, True and "1" all differ."""
+    return type(x), tuple(map(typed, x)) if isinstance(x, tuple) else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LABELS, min_size=1, max_size=5, unique=True))
+def test_printed_labels_read_back_as_themselves(roster):
+    n = len(roster)
+    g = FiniteGroup(tuple(roster), (np.arange(n)[:, None] + np.arange(n)) % n)
+    try:
+        text = print_group(g)
+    except DomainError as exc:
+        assert str(exc).startswith("unprintable symbol label: ")
+        return
+    got, table = parse_group(text)
+    assert typed(got) == typed(g.roster)
+    assert np.array_equal(table, g.table)
 
 
 class TestMapFiles:

@@ -9,14 +9,11 @@ from grouptables.gmaps import (
     classify,
     homomorphism_check,
     identity_map,
-    image,
-    inv_isomorphism,
-    kernel,
     map_from_function,
 )
 from grouptables.products import direct_product, product_list_map
 
-from lemmas import cyclic_subgroup_list, ordp
+from lemmas import cyclic_subgroup_list, image, inv_isomorphism, kernel, ordp
 from oracles import brute_force_isomorphism, compose_maps
 
 

@@ -256,8 +256,8 @@ def test_product_list_map_matches_recursive_fold(corpus_with_subgroups):
             lists += [factors, factors[::-1]]
         for l in lists:
             m = product_list_map(l, g)
-            assert m.domain == group_tuples(l)
-            assert all(m.apply(x) == product_list_val(x, g) for x in m.domain)
+            assert tuple(k for k, _ in m.pairs) == group_tuples(l)
+            assert all(m.apply(x) == product_list_val(x, g) for x, _ in m.pairs)
 
 
 def test_product_orders():
